@@ -8,8 +8,9 @@
 //   * synchronization structure: the pipeline performs point-to-point
 //     waits only; the wavefront executes rows+cols-1 all-to-all barriers
 //     (reported as counters).
+// The seidel-2d instantiation of the same contrast is bench_figures' fig12
+// sweep (polyast pipeline vs pocc wavefront on the compiler's output).
 #include "common/bench_common.hpp"
-#include "common/native_pipeline.hpp"
 
 namespace polyast::bench {
 namespace {
@@ -71,30 +72,6 @@ BENCHMARK(BM_pipe_wide)->Name("fig6/pipeline/8x512")->UseRealTime();
 BENCHMARK(BM_wave_wide)->Name("fig6/wavefront/8x512")->UseRealTime();
 BENCHMARK(BM_pipe_tall)->Name("fig6/pipeline/512x8")->UseRealTime();
 BENCHMARK(BM_wave_tall)->Name("fig6/wavefront/512x8")->UseRealTime();
-
-// The concrete seidel-2d instantiation of the same contrast.
-void BM_seidel_pipe(benchmark::State& s) {
-  static Seidel2dProblem p(10, 500);
-  for (auto _ : s) {
-    s.PauseTiming();
-    p.reset();
-    s.ResumeTiming();
-    seidel2dPolyast(p, pool());
-  }
-  reportGflops(s, p.flops());
-}
-void BM_seidel_wave(benchmark::State& s) {
-  static Seidel2dProblem p(10, 500);
-  for (auto _ : s) {
-    s.PauseTiming();
-    p.reset();
-    s.ResumeTiming();
-    seidel2dPocc(p, pool());
-  }
-  reportGflops(s, p.flops());
-}
-BENCHMARK(BM_seidel_pipe)->Name("fig6/seidel-2d/pipeline")->UseRealTime();
-BENCHMARK(BM_seidel_wave)->Name("fig6/seidel-2d/wavefront")->UseRealTime();
 
 }  // namespace
 }  // namespace polyast::bench

@@ -1,25 +1,10 @@
-// Shared infrastructure for the figure/table benchmarks.
-//
-// Each PolyBench kernel is implemented natively in the loop structures the
-// three compilers under comparison produce (verified against the IR
-// pipeline by the structure tests in tests/):
-//   * orig      — the PolyBench reference loops, compiled at -O3
-//                 (stand-in for the paper's icc-auto / xlc-auto variants),
-//   * pocc      — Pluto smartfuse + rectangular tiling + doall-only
-//                 parallelization, wavefront tile schedule for stencils,
-//   * pocc_vect — pocc plus the intra-tile SIMD permutation,
-//   * polyast   — this paper's flow: DL-driven fusion/permutation,
-//                 AST tiling, register tiling, doall/reduction/pipeline
-//                 parallelism via the point-to-point runtime.
-//
-// Variants are validated against `orig` on seeded inputs before timing
-// (relative tolerance covers reassociated reductions). GF/s is reported
-// through a google-benchmark counter.
+// Shared infrastructure for the google-benchmark drivers: the thread pool,
+// environment-gated observability, deterministic input seeding and the GF/s
+// counter.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -31,7 +16,6 @@
 #include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
-#include "support/error.hpp"
 
 namespace polyast::bench {
 
@@ -103,23 +87,8 @@ inline void seed(std::vector<double>& buf, const std::string& name) {
   }
 }
 
-inline double checksum(const std::vector<double>& buf) {
-  double s = 0.0, w = 1.0;
-  for (double x : buf) {
-    s += w * x;
-    w = (w >= 4.0) ? 1.0 : w + 1e-4;
-  }
-  return s;
-}
-
-inline void expectClose(double a, double b, const char* what) {
-  double denom = std::fabs(a) + std::fabs(b) + 1.0;
-  POLYAST_CHECK(std::fabs(a - b) / denom < 1e-6,
-                std::string("variant diverges from reference: ") + what);
-}
-
-/// The shared pool for all benchmarks; --threads N via the POLYAST_THREADS
-/// environment variable (stands in for the 8-core / 32-core machines).
+/// The shared pool for all benchmarks, sized by the POLYAST_THREADS
+/// environment variable (unset or 0: one thread per core).
 inline runtime::ThreadPool& pool() {
   initObs();
   static runtime::ThreadPool instance([] {
@@ -136,8 +105,5 @@ inline void reportGflops(benchmark::State& state, double flopsPerIter) {
       flopsPerIter * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
-
-constexpr std::int64_t kTile = 32;      ///< paper: tile size 32
-constexpr std::int64_t kTimeTile = 5;   ///< paper: outer time-tile size 5
 
 }  // namespace polyast::bench

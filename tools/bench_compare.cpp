@@ -20,13 +20,12 @@
 //                     hardware counters when not degraded); kernels
 //                     measured on a non-default execution backend are
 //                     named `kernel@backend` so native and interpreted
-//                     timings form separate history series
+//                     timings form separate history series; rows of a
+//                     preset other than polyast get `@<pipeline>` appended
 //   --metrics FILE    one sample named after the file's basename;
 //                     wall_ns comes from the `perf.wall_ns` counter
 //                     (fallback: gauge `flow.total_millis` * 1e6),
 //                     counters from every `perf.*` counter and gauge
-//                     (the benches' backend-comparison gauges
-//                     `perf.backend_*` ride along here)
 //   --compile-profile FILE  one sample per SCoP row, named
 //                     `compile@<scop>` with wall_ns = compile_ms * 1e6;
 //                     the row's selfprof counters plus rss_hwm_kb /
@@ -56,7 +55,8 @@
 //   --record-only     append + report, never fail (CI seeding mode)
 //   --selftest        run the built-in first-run / no-regression /
 //                     injected-20%-slowdown / auto-threshold /
-//                     compile-profile-gate / cross-entry-noise checks
+//                     compile-profile-gate / cross-entry-noise /
+//                     pipeline-series checks
 //                     and exit
 //
 // Setting POLYAST_BENCH_GATE=warn in the environment downgrades detected
@@ -141,6 +141,12 @@ void ingestDlCheck(const std::string& path,
     if (const obs::JsonValue* red = k.find("reductions");
         red && red->isString() && red->text == "relaxed")
       sample.kernel += "@relaxed";
+    // And every preset but the paper's flow: a `--pipeline pocc` row runs
+    // a different schedule, so it must not merge into the polyast series.
+    // Unsuffixed polyast rows keep the series names of older histories.
+    if (const obs::JsonValue* pipeline = k.find("pipeline");
+        pipeline && pipeline->isString() && pipeline->text != "polyast")
+      sample.kernel += "@" + pipeline->text;
     const obs::JsonValue* measured = k.find("measured");
     POLYAST_CHECK(measured && measured->isObject(),
                   path + ": kernel without measured object");
@@ -475,6 +481,30 @@ int selftest() {
     expect(gateWidened && r.regressions == 0,
            "cross-entry noise floor: 8% run-to-run spread widens the gate"
            " to 24%, 15% drift passes");
+
+    // 9. dlcheck rows of another preset form their own series: a pocc row
+    // of gemm must not merge into (and be median-collapsed with) the
+    // polyast row of the same kernel and backend.
+    const std::string dl = path + ".dlcheck.json";
+    auto dlRow = [](const char* pipeline, int wallNs) {
+      return std::string("{\"kernel\":\"fig7/gemm\",\"pipeline\":\"") +
+             pipeline +
+             "\",\"backend\":\"native\",\"simd\":\"off\","
+             "\"measured\":{\"wall_ns\":" + std::to_string(wallNs) + "}}";
+    };
+    std::ofstream(dl) << "{\"schema\":\"polyast-dlcheck-v1\",\"kernels\":["
+                      << dlRow("polyast", 100) << "," << dlRow("pocc", 300)
+                      << "]}\n";
+    std::vector<obs::BenchKernelSample> dlSamples;
+    ingestDlCheck(dl, dlSamples);
+    collapseRepeats(dlSamples);
+    std::remove(dl.c_str());
+    bool split = dlSamples.size() == 2;
+    for (const auto& s : dlSamples)
+      split = split && ((s.kernel == "fig7/gemm@native" && s.wallNs == 100) ||
+                        (s.kernel == "fig7/gemm@native@pocc" &&
+                         s.wallNs == 300));
+    expect(split, "a pocc dlcheck row forms its own @pocc series");
   } catch (const Error& e) {
     std::cerr << "  FAIL: exception: " << e.what() << "\n";
     ++failures;

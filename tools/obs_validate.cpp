@@ -49,7 +49,9 @@
 //     silently-degraded JIT run). The optional "simd" field must be
 //     "on"/"off" (whether the native run executed packed SIMD
 //     microkernels); --require-simd asserts it on every entry — e.g.
-//     "on" to catch a toolchain silently rejecting the vector TU.
+//     "on" to catch a toolchain silently rejecting the vector TU. A
+//     kernel may appear once per (pipeline, backend, simd, reductions)
+//     configuration; --min-kernels counts distinct kernel names.
 //   * attrib: "schema" == "polyast-attrib-v1" as written by `polyastc
 //     --attrib-out` — per-kernel total/residual readings plus one row per
 //     parallel construct (id/kind/iter/nest/enters, predicted
@@ -350,7 +352,8 @@ int validateDlCheck(const obs::JsonValue& root,
   const obs::JsonValue* kernels = root.find("kernels");
   if (!kernels || !kernels->isArray())
     return fail("dlcheck: missing kernels array");
-  std::set<std::string> names;
+  std::set<std::string> names;    ///< distinct kernels (--min-kernels)
+  std::set<std::string> configs;  ///< kernel x pipeline x backend x modes
   std::size_t degradedKernels = 0;
   std::size_t index = 0;
   for (const auto& k : kernels->items) {
@@ -366,9 +369,19 @@ int validateDlCheck(const obs::JsonValue& root,
         k.find("backend")->text != requiredBackend)
       return fail(at + ": backend '" + k.find("backend")->text +
                   "', expected '" + requiredBackend + "'");
-    if (!names.insert(k.find("kernel")->text).second)
-      return fail(at + ": duplicate entry");
+    // One entry per measured configuration: a figure artifact carries a
+    // kernel once per preset and SIMD mode, and bench_compare gives each
+    // of those its own series.
     const obs::JsonValue* simd = k.find("simd");
+    const obs::JsonValue* red = k.find("reductions");
+    names.insert(k.find("kernel")->text);
+    if (!configs
+             .insert(k.find("kernel")->text + "|" + k.find("pipeline")->text +
+                     "|" + k.find("backend")->text + "|" +
+                     (simd && simd->isString() ? simd->text : "") + "|" +
+                     (red && red->isString() ? red->text : ""))
+             .second)
+      return fail(at + ": duplicate entry");
     if (simd && (!simd->isString() ||
                  (simd->text != "on" && simd->text != "off")))
       return fail(at + ": simd is not \"on\"/\"off\"");
