@@ -94,9 +94,9 @@ void runReductions(const AnalysisInput& in, DiagnosticEngine& engine);
 /// a reduction-classified dependence carried by a Reduction /
 /// ReductionPipeline mark is benign only when the executor will actually
 /// privatize its accumulator inside that construct. Computed from the same
-/// ir::privatizableArrays helper the interpreter walker and the native
-/// kernel emitter consume, so the static proof and the runtime discharge
-/// can never disagree about the obligation (reductions.cpp).
+/// ir::privatizableArrays helper the native kernel emitter consumes, so
+/// the static proof and the runtime discharge can never disagree about
+/// the obligation (reductions.cpp).
 bool reductionEdgeVouched(const poly::Dependence& d,
                           const std::shared_ptr<ir::Loop>& mark);
 

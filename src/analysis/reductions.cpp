@@ -15,10 +15,10 @@
 //     accumulation chain, discharged with a "relaxed-edge" remark.
 //   * An edge a construct does interleave must land in a privatizing
 //     construct: kind Reduction or ReductionPipeline AND its accumulator
-//     in ir::privatizableArrays(construct) — the one helper the
-//     interpreter walker and the native kernel emitter consume to pick
-//     their privatize+merge buffers, so the obligation recorded here is
-//     the obligation the executor actually discharges. Discharged edges
+//     in ir::privatizableArrays(construct) — the one helper the native
+//     kernel emitter consumes to pick its privatize+merge buffers, so the
+//     obligation recorded here is the obligation the executor actually
+//     discharges. Discharged edges
 //     get a "relaxed-edge" remark naming the edge, the covering construct,
 //     and the privatization obligation.
 //   * A purity proof that fails on the current program (operator left the

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "obs/attrib.hpp"
 #include "support/error.hpp"
 
 namespace polyast::exec {
@@ -115,19 +116,41 @@ double Context::maxAbsDiff(const Context& other) const {
   return worst;
 }
 
-namespace detail {
+namespace {
+
+/// Marked loop -> attribution construct id (ir::collectParallelConstructs).
+using ConstructIds = std::map<const ir::Loop*, std::int64_t>;
+
+/// obs::constructEnter/constructExit around one dynamic encounter of a
+/// construct's loop; inert for loops that are not constructs. RAII, so a
+/// throwing body still closes the bracket.
+class ConstructBracket {
+ public:
+  ConstructBracket(const ConstructIds* ids, const ir::Loop& l) {
+    if (!ids) return;
+    auto it = ids->find(&l);
+    if (it == ids->end()) return;
+    id_ = it->second;
+    obs::constructEnter(id_, ir::parallelKindName(l.parallel).c_str(),
+                        l.iter.c_str());
+  }
+  ~ConstructBracket() {
+    if (id_ >= 0) obs::constructExit(id_);
+  }
+  ConstructBracket(const ConstructBracket&) = delete;
+  ConstructBracket& operator=(const ConstructBracket&) = delete;
+
+ private:
+  std::int64_t id_ = -1;
+};
 
 class Machine {
  public:
   Machine(const ir::Program& program, Context& ctx, bool countOnly,
-          const BufferOverrides* overrides = nullptr)
+          const ConstructIds* constructs = nullptr)
       : prog_(program), ctx_(ctx), countOnly_(countOnly),
-        overrides_(overrides) {
+        constructs_(constructs) {
     for (const auto& [k, v] : ctx.params()) env_[k] = v;
-  }
-
-  void bind(const std::string& name, std::int64_t value) {
-    env_[name] = value;
   }
 
   std::int64_t execute() {
@@ -154,6 +177,7 @@ class Machine {
       }
       case ir::Node::Kind::Loop: {
         auto l = std::static_pointer_cast<ir::Loop>(node);
+        const ConstructBracket bracket(constructs_, *l);
         // An empty bound list has no finite extreme: iterating from the
         // INT64 sentinel is undefined behaviour, so reject it outright.
         POLYAST_CHECK(!l->lower.parts.empty() && !l->upper.parts.empty(),
@@ -165,8 +189,8 @@ class Machine {
         for (const auto& part : l->upper.parts)
           hi = std::min(hi, part.evaluate(env_));
         POLYAST_CHECK(l->step >= 1, "non-positive loop step");
-        // Restore any shadowed binding so a persistent environment (the
-        // SubtreeRunner reuse path) survives repeated subtree runs.
+        // Restore any shadowed binding (an iterator name reused by an
+        // inner loop, or bound by runSubtree).
         const bool shadowed = env_.count(l->iter) != 0;
         const std::int64_t saved = shadowed ? env_[l->iter] : 0;
         for (std::int64_t v = lo; v < hi; v += l->step) {
@@ -194,7 +218,7 @@ class Machine {
         idx.reserve(s->lhsSubs.size());
         for (const auto& sub : s->lhsSubs) idx.push_back(sub.evaluate(env_));
         double value = eval(s->rhs);
-        double& cell = cellRef(s->lhsArray, idx);
+        double& cell = ctx_.at(s->lhsArray, idx);
         switch (s->op) {
           case ir::AssignOp::Set: cell = value; break;
           case ir::AssignOp::AddAssign: cell += value; break;
@@ -223,7 +247,7 @@ class Machine {
         std::vector<std::int64_t> idx;
         idx.reserve(e->subs.size());
         for (const auto& sub : e->subs) idx.push_back(sub.evaluate(env_));
-        return cellRef(e->name, idx);
+        return ctx_.at(e->name, idx);
       }
       case Expr::Kind::Binary: {
         double a = eval(e->lhs);
@@ -259,68 +283,36 @@ class Machine {
     POLYAST_CHECK(false, "unreachable expression kind");
   }
 
-  /// Storage cell for one array element, honoring buffer overrides (same
-  /// bounds checks and row-major layout as Context::at).
-  double& cellRef(const std::string& array,
-                  const std::vector<std::int64_t>& idx) {
-    if (overrides_) {
-      auto it = overrides_->find(array);
-      if (it != overrides_->end()) {
-        const auto& d = ctx_.dims(array);
-        POLYAST_CHECK(idx.size() == d.size(),
-                      "rank mismatch accessing " + array);
-        std::int64_t flat = 0;
-        for (std::size_t i = 0; i < d.size(); ++i) {
-          POLYAST_CHECK(idx[i] >= 0 && idx[i] < d[i],
-                        "index out of bounds accessing " + array + " dim " +
-                            std::to_string(i) + " = " +
-                            std::to_string(idx[i]));
-          flat = flat * d[i] + idx[i];
-        }
-        return it->second[static_cast<std::size_t>(flat)];
-      }
-    }
-    return ctx_.at(array, idx);
-  }
-
   const ir::Program& prog_;
   Context& ctx_;
   bool countOnly_;
-  const BufferOverrides* overrides_;
+  const ConstructIds* constructs_;
   std::map<std::string, std::int64_t> env_;
   std::int64_t instances_ = 0;
 };
 
-}  // namespace detail
-
-SubtreeRunner::SubtreeRunner(const ir::Program& program, Context& ctx,
-                             const BufferOverrides* overrides)
-    : m_(std::make_unique<detail::Machine>(program, ctx, /*countOnly=*/false,
-                                           overrides)) {}
-
-SubtreeRunner::~SubtreeRunner() = default;
-SubtreeRunner::SubtreeRunner(SubtreeRunner&&) noexcept = default;
-SubtreeRunner& SubtreeRunner::operator=(SubtreeRunner&&) noexcept = default;
-
-void SubtreeRunner::bind(const std::string& name, std::int64_t value) {
-  m_->bind(name, value);
-}
-
-void SubtreeRunner::run(const ir::NodePtr& node) { m_->executeNode(node, {}); }
+}  // namespace
 
 void run(const ir::Program& program, Context& ctx) {
-  detail::Machine(program, ctx, /*countOnly=*/false).execute();
+  Machine(program, ctx, /*countOnly=*/false).execute();
+}
+
+void runBracketed(const ir::Program& program, Context& ctx) {
+  ConstructIds ids;
+  for (const auto& c : ir::collectParallelConstructs(program))
+    ids[c.loop.get()] = c.id;
+  Machine(program, ctx, /*countOnly=*/false, &ids).execute();
 }
 
 void runSubtree(const ir::Program& program, Context& ctx,
                 const ir::NodePtr& node,
                 const std::map<std::string, std::int64_t>& bindings) {
-  detail::Machine(program, ctx, /*countOnly=*/false)
+  Machine(program, ctx, /*countOnly=*/false)
       .executeNode(node, bindings);
 }
 
 std::int64_t countInstances(const ir::Program& program, Context& ctx) {
-  return detail::Machine(program, ctx, /*countOnly=*/true).execute();
+  return Machine(program, ctx, /*countOnly=*/true).execute();
 }
 
 }  // namespace polyast::exec

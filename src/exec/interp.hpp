@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,50 +53,20 @@ class Context {
 /// Throws polyast::Error on out-of-bounds accesses or unbound names.
 void run(const ir::Program& program, Context& ctx);
 
+/// run(), with every parallel construct of ir::collectParallelConstructs
+/// bracketed by obs::constructEnter/constructExit: one pair per dynamic
+/// encounter of the marked loop, fired even when its trip space is empty
+/// — the same points at which a JIT kernel fires its capi construct hooks.
+/// InterpBackend uses it for construct attribution; run() never brackets,
+/// so the oracle stays hookless.
+void runBracketed(const ir::Program& program, Context& ctx);
+
 /// Executes one subtree of `program` with extra iterator bindings on top
-/// of the parameter environment. This is the building block of the
-/// parallel harness (exec/par_exec.hpp): each runtime thread executes its
-/// chunk/cell of a parallel loop by interpreting the loop body under its
-/// own bindings. Each call uses an independent evaluation environment, so
-/// concurrent calls over one Context are safe whenever the executed
-/// instances write disjoint cells (which legal doall/pipeline marks
-/// guarantee).
+/// of the parameter environment (e.g. one iteration of a loop body). Each
+/// call uses an independent evaluation environment.
 void runSubtree(const ir::Program& program, Context& ctx,
                 const ir::NodePtr& node,
                 const std::map<std::string, std::int64_t>& bindings);
-
-/// Per-array raw storage that replaces the Context's buffer for both
-/// reads and writes (same row-major layout and bounds). The parallel
-/// harness points reduction accumulators at per-thread private buffers
-/// with this.
-using BufferOverrides = std::map<std::string, double*>;
-
-namespace detail {
-class Machine;
-}
-
-/// A reusable interpreter bound to one (program, context) pair: the worker
-/// thread constructs it once and re-runs subtrees under updated iterator
-/// bindings, so per-cell execution does not re-copy the parameter
-/// environment (the harness's former per-cell std::map deep copies). Loop
-/// execution restores iterator bindings on exit, so the persistent
-/// environment stays consistent across cells.
-class SubtreeRunner {
- public:
-  SubtreeRunner(const ir::Program& program, Context& ctx,
-                const BufferOverrides* overrides = nullptr);
-  ~SubtreeRunner();
-  SubtreeRunner(SubtreeRunner&&) noexcept;
-  SubtreeRunner& operator=(SubtreeRunner&&) noexcept;
-
-  /// Sets/overwrites one binding in the persistent environment.
-  void bind(const std::string& name, std::int64_t value);
-  /// Interprets `node` under the current environment.
-  void run(const ir::NodePtr& node);
-
- private:
-  std::unique_ptr<detail::Machine> m_;
-};
 
 /// Counts executed statement instances (used by tests to check that a
 /// transformation preserves the instance count).

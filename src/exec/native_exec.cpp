@@ -23,6 +23,16 @@
 static_assert(polyast::ir::kNativeKernelAbi == POLYAST_CAPI_ABI_VERSION,
               "ir/cemit.hpp and runtime/capi.hpp ABI versions diverged");
 
+// A ThreadSanitizer host must run instrumented kernels too, or the race
+// detector never sees the accesses the JIT'd parallel bodies make.
+#if defined(__SANITIZE_THREAD__)
+#define POLYAST_HOST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define POLYAST_HOST_TSAN 1
+#endif
+#endif
+
 namespace polyast::exec {
 
 namespace {
@@ -211,6 +221,11 @@ struct NativeBackend::Impl {
     std::string spec =
         compiler + " -std=c11 -O2 -fPIC -shared -ffp-contract=off -Wall";
     if (simdTu) spec += " -fopenmp-simd" + nativeArchFlag();
+#ifdef POLYAST_HOST_TSAN
+    // Part of the spec, hence of the cache key: instrumented and plain
+    // objects never share a cache entry.
+    spec += " -fsanitize=thread";
+#endif
     for (const auto& f : opts.extraFlags) spec += " " + f;
     return spec;
   }
@@ -394,9 +409,9 @@ ParallelRunReport NativeBackend::run(const ir::Program& program,
                                      obs::PerfAggregate* perf) {
   LoadedKernel& k = impl_->prepareProgram(program);
   if (!k.entry) {
-    // Degrade to the interpreter (which records its own run metrics), and
-    // make the degradation itself observable.
-    ParallelRunReport report = runParallel(program, ctx, pool, perf);
+    // Degrade to the sequential interpreter (which records its own run
+    // metrics), and make the degradation itself observable.
+    ParallelRunReport report = InterpBackend().run(program, ctx, pool, perf);
     report.nativeFallbacks = 1;
     report.notes.push_back("native backend degraded to interpreter [" +
                            k.errorKind + "]: " + k.error);

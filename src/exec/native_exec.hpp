@@ -12,12 +12,20 @@
 // polyast_kernel_run driven with the Context's parameters and buffers on
 // the caller's ThreadPool.
 //
+// This is the only executor that lowers parallelism marks onto the
+// runtime; the interpreter runs programs sequentially.
+//
 // Degradation is graceful and observable: with no usable compiler, a
 // failed compile, a dlopen/dlsym error, or POLYAST_JIT=off, run() falls
-// back to the interpreted executor — the report carries a note naming
-// the reason, nativeFallbacks is set, and the exec.native.fallbacks
-// metric is bumped. A fallback never silently changes results: both
-// paths are differentially verified against the same oracle.
+// back to the sequential interpreter (InterpBackend) — the report carries
+// a note naming the reason, nativeFallbacks is set, and the
+// exec.native.fallbacks metric is bumped. A fallback never silently
+// changes results: both paths are differentially verified against the
+// same oracle.
+//
+// When the host binary is itself built with ThreadSanitizer, kernels are
+// compiled with -fsanitize=thread as well (detected at compile time; the
+// flag is part of the compile command and therefore of the cache key).
 #pragma once
 
 #include <memory>

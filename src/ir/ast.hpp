@@ -199,10 +199,9 @@ void renameIterInTree(const NodePtr& node, std::string from,
 std::string printNode(const NodePtr& node, int indent = 0);
 std::string printProgram(const Program& p);
 
-// Structural queries shared by the parallel executor (exec/par_exec) and
-// the native kernel emitter (ir/cemit): both must map parallelism marks
-// onto the same runtime construct for a program, so the shape decisions
-// live here, once.
+// Structural queries behind the native kernel emitter's (ir/cemit) choice
+// of runtime construct per parallelism mark; the reductions and races
+// analyses reuse them so their proofs match what the emitted code does.
 
 /// The single loop child of `body`, descending through nested one-child
 /// blocks; null when the body is not exactly one loop.
@@ -241,9 +240,9 @@ struct ParallelConstruct {
 };
 
 /// Enumerates the parallel constructs of `p` in pre-order. The walk does
-/// not descend into a marked loop (inner marks are sequentialized by both
-/// backends) and accumulates the iterator chain through ParallelKind::None
-/// loops, mirroring the dispatch structure of exec/par_exec and ir/cemit.
+/// not descend into a marked loop (inner marks run sequentially inside the
+/// construct) and accumulates the iterator chain through
+/// ParallelKind::None loops, mirroring the dispatch structure of ir/cemit.
 std::vector<ParallelConstruct> collectParallelConstructs(const Program& p);
 
 /// True when any loop of `p` carries a MicroKernelTag — the native emitter

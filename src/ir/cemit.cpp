@@ -164,8 +164,8 @@ class KernelEmitter {
   KernelEmitter(const Program& p, const KernelFunctionOptions& opt)
       : p_(p), opt_(opt) {
     // Construct ids for the attribution hooks: the same pre-order
-    // enumeration the interp walker uses, so both backends report
-    // identical (id, kind, iter) rows for a program.
+    // enumeration the interpreter backend brackets, so both backends
+    // report identical (id, kind, iter) rows for a program.
     for (const auto& c : collectParallelConstructs(p))
       constructIds_[c.loop.get()] = c.id;
   }
@@ -273,8 +273,8 @@ class KernelEmitter {
   }
 
   /// `inParallel` = already inside an outlined parallel body: nested marks
-  /// run sequentially there (exactly what the interpreted executor does —
-  /// a chunk/cell interprets its whole subtree, marks ignored).
+  /// run sequentially there (a chunk/cell runs its whole subtree, marks
+  /// ignored; ir::collectParallelConstructs does not list them).
   void emitNode(std::ostream& os, const NodePtr& node, int depth,
                 bool inParallel) {
     std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
@@ -293,8 +293,8 @@ class KernelEmitter {
             l->parallel != ParallelKind::None) {
           // Attribution bracket: one enter/exit pair per dynamic
           // encounter, fired even when the trip space is empty and around
-          // sequential fallbacks — the exact counting semantics of the
-          // interpreted walker's construct hooks.
+          // sequential fallbacks — the same points at which the
+          // interpreter backend fires its construct hooks.
           auto cid = constructIds_.find(l.get());
           POLYAST_CHECK(cid != constructIds_.end(),
                         "marked loop missing from the construct index");
@@ -548,10 +548,10 @@ class KernelEmitter {
 
   // ---- runtime lowering of parallelism marks ---------------------------
   //
-  // Every spawn site mirrors exec/par_exec's walker decisions exactly
-  // (shared ir/ast.hpp shape queries, same counting points, same
-  // trip-count arithmetic), so a native run reports the identical
-  // ParallelRunReport and computes the identical floating-point results.
+  // This is the only lowering of parallelism marks onto the runtime. Each
+  // spawn site picks its construct with the ir/ast.hpp shape queries and
+  // counts it once per dynamic encounter (even for an empty trip space),
+  // which is what ParallelRunReport's construct counters report.
 
   void emitParallel(std::ostream& os, const std::shared_ptr<Loop>& l,
                     int depth) {
@@ -627,8 +627,7 @@ class KernelEmitter {
 
   /// Doall spawn site; also the lowering of a Reduction mark with no
   /// privatizable accumulator (a valid such mark has no carried dependence
-  /// at all, so a plain static-schedule doall is equivalent — same as the
-  /// interpreted executor).
+  /// at all, so a plain static-schedule doall is equivalent).
   void emitDoallLike(std::ostream& os, const std::shared_ptr<Loop>& l,
                      int depth, bool asReduction) {
     const int id = id_++;
@@ -719,8 +718,7 @@ class KernelEmitter {
   /// ReductionPipeline (the pipeline constructs have no built-in
   /// privatization, so the TU allocates nthreads * len scratch per
   /// accumulator, cells index it by worker id, and the spawn site sums
-  /// the slices into the shared array after the pipeline drains — the
-  /// same scheme the interpreted executor's TidStates implement).
+  /// the slices into the shared array after the pipeline drains).
   void privFields(const std::vector<std::string>& priv,
                   std::vector<EnvField>& fields) {
     for (std::size_t k = 0; k < priv.size(); ++k) {
@@ -774,11 +772,15 @@ class KernelEmitter {
     emitNode(os, l, depth, /*inParallel=*/true);
   }
 
-  /// Pipeline / ReductionPipeline lowering; shape selection mirrors the
-  /// walker: pipeline3D (depth >= 3, rectangular 3-deep chain), then
-  /// pipeline2D (rectangular chained pair), then pipelineDynamic2D
-  /// (inner bounds reference the outer iterator), else sequential
-  /// fallback.
+  /// Pipeline / ReductionPipeline lowering, deepest shape first:
+  /// pipeline3D (depth >= 3, rectangular 3-deep chain), then pipeline2D
+  /// (rectangular chained pair), then pipelineDynamic2D (inner bounds
+  /// reference the outer iterator), else sequential fallback. Falling
+  /// back from a deeper shape to a shallower one is always sound: a
+  /// dependence with componentwise non-negative distance on d levels is
+  /// ordered a fortiori when only a prefix of those levels is
+  /// synchronized cell-by-cell and the rest runs sequentially inside the
+  /// cell.
   void emitPipeline(std::ostream& os, const std::shared_ptr<Loop>& l,
                     int depth, bool withReduction) {
     const std::string note =
@@ -892,7 +894,7 @@ class KernelEmitter {
   /// Triangular/trapezoidal chained pair: per-row column ranges are
   /// computed at run time from the inner bounds, the shared stride-phase
   /// lattice is verified, and on mismatch the nest runs sequentially
-  /// (counted as a fallback) — all exactly as the interpreted walker does.
+  /// (counted as a fallback).
   void emitPipelineDynamic(std::ostream& os,
                            const std::shared_ptr<Loop>& outer,
                            const std::shared_ptr<Loop>& inner, int depth,
@@ -960,8 +962,12 @@ class KernelEmitter {
        << "(polyast_ihi - polyast_ilo + " << s << " - 1) / " << s
        << " : 0;\n";
     os << p3 << "}\n";
-    // Transitive coverage needs every non-empty row on one stride-s
-    // lattice (see the walker's phase check).
+    // Transitive coverage (a dependence skipping rows is still ordered by
+    // the chained row-to-row awaits) needs a value j0 <= j1 <= j2 in every
+    // intermediate row — guaranteed when all non-empty rows sample one
+    // stride-s lattice: convexity of the affine bounds gives the
+    // interval, the shared phase the lattice point. Mixed phases fall
+    // back.
     os << p3 << "int polyast_ok = 1;\n";
     os << p3 << "int64_t polyast_first = -1;\n";
     os << p3 << "for (int64_t polyast_r = 0; polyast_r < polyast_rows;"

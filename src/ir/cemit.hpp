@@ -20,8 +20,8 @@
 //     (exec/native_exec): fully self-contained C with parallelism marks
 //     lowered to outlined bodies driven through the runtime/capi.hpp
 //     function-pointer table (doall chunks, privatized reductions, 2D/3D/
-//     dynamic pipelines — the same construct the interpreted executor
-//     would pick, decided by the shared ir/ast.hpp shape queries), plus an
+//     dynamic pipelines, chosen by the ir/ast.hpp shape queries; this is
+//     the only lowering of the marks onto the runtime), plus an
 //     extern "C" entry point `polyast_kernel_run(polyast_kernel_args)`
 //     and the ABI stamp `polyast_kernel_abi()`.
 #pragma once

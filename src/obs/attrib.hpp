@@ -2,16 +2,15 @@
 // hardware-counter profiles, shared by both execution backends.
 //
 // Both backends report construct boundaries through the same two free
-// functions: the interpreted walker (exec/par_exec) calls
-// constructEnter/constructExit around every marked-loop dispatch, and
-// JIT-compiled kernels reach the identical pair through the ABI-v2
-// construct_enter/construct_exit entries of the runtime/capi function
-// table. The hooks do two independent things:
+// functions: the sequential interpreter backend (exec::runBracketed)
+// calls constructEnter/constructExit around every encounter of a
+// construct's loop, and JIT-compiled kernels reach the identical pair
+// through the ABI-v2 construct_enter/construct_exit entries of the
+// runtime/capi function table. The hooks do two independent things:
 //
 //   * Tracing: when the global Tracer is enabled, each construct
 //     encounter becomes a "construct" span (kind:iter, with id/kind/iter
-//     attributes) on the driving thread — native runs finally produce the
-//     same runtime timeline interp runs always had.
+//     attributes) on the driving thread, on both backends.
 //   * Profiling: when a ConstructProfiler is installed, every boundary
 //     takes a cumulative grouped sample of a PerfSession
 //     (PerfSession::sample — read without stopping) and charges the delta
@@ -21,8 +20,9 @@
 //     total — the invariant `obs_validate --attrib` enforces.
 //
 // Cost when disabled: constructHooksActive() is false, the capi table
-// returned to kernels carries no-op hook entries, and the interp walker
-// skips the bracket entirely — one predicate per run, not per encounter.
+// returned to kernels carries no-op hook entries, and the interpreter
+// backend runs the hookless interpreter — one predicate per run, not per
+// encounter.
 //
 // Sampling semantics: the session lives on the driving thread, which
 // participates in every runtime construct as one pool worker, so counter
@@ -113,7 +113,7 @@ class ConstructProfiler {
 
 /// True when any construct-boundary consumer is live (a profiler is
 /// installed or the global tracer is enabled). The capi table selection
-/// and the interp walker use this to make disabled runs hook-free.
+/// and the interpreter backend use this to make disabled runs hook-free.
 bool constructHooksActive();
 
 /// The construct boundary hooks both backends call (the native backend

@@ -21,8 +21,9 @@
 //
 // PerfAggregate is the multi-thread form: each runtime::ThreadPool worker
 // (and the calling thread) opens its own session via beginThread() /
-// endThread() around a measured region — `exec::runParallel` does this
-// when handed an aggregate — and totals() sums the per-thread readings.
+// endThread() around a measured region — the native execution backend
+// does this when handed an aggregate — and totals() sums the per-thread
+// readings.
 //
 // Everything compiles on non-Linux hosts; sessions are then always
 // degraded with reason "unsupported-platform".

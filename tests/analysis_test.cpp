@@ -349,6 +349,12 @@ struct CrossCase {
   std::string preset;
 };
 
+// Without this gtest prints the raw object bytes (heap pointers included),
+// so the discovered CTest names would change on every relink.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  *os << '(' << c.kernel << ", " << c.preset << ')';
+}
+
 class StaticVsOracle : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(StaticVsOracle, AgreeProgramIsLegal) {

@@ -2,14 +2,16 @@
 // histogram bucket semantics, exporter round-trips through the bundled
 // JSON parser, the pipeline integration (one span per executed pass, the
 // FlowReport-over-registry contract, continue-after-failure verification),
-// and the parallel execution harness validated against the sequential
+// and the native JIT's parallel lowering validated against the sequential
 // interpreter.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <thread>
 
-#include "exec/par_exec.hpp"
+#include "exec/native_exec.hpp"
 #include "flow/presets.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
@@ -433,48 +435,93 @@ std::map<std::string, std::int64_t> oddParams(const ir::Program& p) {
   return params;
 }
 
-void expectParallelMatchesSequential(const std::string& kernel,
-                                     ParallelRunReport* repOut = nullptr) {
+// The ParExec tests drive the native JIT backend — the only executor that
+// maps parallelism marks onto the runtime — and check it against the
+// sequential interpreter. They skip without a C compiler, like
+// native_exec_test.
+
+bool haveCompiler() {
+  return std::system("command -v cc > /dev/null 2>&1") == 0;
+}
+
+/// JIT cache private to this process, removed at exit, so runs never
+/// share (or leave behind) compiled objects.
+const std::string& privateJitCache() {
+  struct Dir {
+    std::string path;
+    Dir() {
+      char tmpl[] = "/tmp/polyast_obs_test_XXXXXX";
+      const char* d = mkdtemp(tmpl);
+      path = d ? d : "/tmp/polyast_obs_test_fallback";
+    }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+    Dir(const Dir&) = delete;
+    Dir& operator=(const Dir&) = delete;
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+struct NativeRun {
+  ParallelRunReport report;
+  VerifyResult check;
+};
+
+/// Optimizes `kernel` with `preset`, runs it natively on 3 threads and
+/// verifies it against the sequential interpreter. A degraded run fails:
+/// these tests are about the parallel lowering, not the fallback.
+NativeRun runNative(const std::string& kernel,
+                    const std::string& preset = "polyast") {
   ir::Program p = kernels::buildKernel(kernel);
   flow::PassContext ctx;
   obs::Registry local;
   ctx.metrics = &local;
-  ir::Program q = flow::makePipeline("polyast").run(p, ctx);
+  ir::Program q = flow::makePipeline(preset).run(p, ctx);
   auto params = oddParams(q);
   Context seq = kernels::makeContext(q, params);
   Context par = kernels::makeContext(q, params);
-  run(q, seq);
   runtime::ThreadPool pool(3);
-  ParallelRunReport rep = runParallel(q, par, pool);
-  EXPECT_DOUBLE_EQ(par.maxAbsDiff(seq), 0.0) << kernel;
-  if (repOut) *repOut = rep;
+  NativeBackendOptions opts;
+  opts.cacheDir = privateJitCache();
+  NativeBackend native(opts);
+  NativeRun r;
+  r.check = native.verify(q, par, seq, pool, &r.report);
+  EXPECT_EQ(r.report.backend, "native") << kernel << " / " << preset;
+  EXPECT_EQ(r.report.nativeFallbacks, 0) << r.report.summary();
+  return r;
 }
 
 TEST(ParExec, DoallKernelRunsInParallelAndMatches) {
-  ParallelRunReport rep;
-  expectParallelMatchesSequential("gemm", &rep);
-  EXPECT_GE(rep.doallLoops, 1);
-  EXPECT_FALSE(rep.summary().empty());
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("gemm");
+  EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0);
+  EXPECT_GE(r.report.doallLoops, 1);
+  EXPECT_FALSE(r.report.summary().empty());
 }
 
 TEST(ParExec, PipelineKernelMatches) {
   // seidel-2d carries loop dependences: the flow marks pipelines, and the
-  // harness either maps them onto pipeline2D or falls back sequentially —
-  // both must match the sequential interpretation exactly.
-  ParallelRunReport rep;
-  expectParallelMatchesSequential("seidel-2d", &rep);
-  EXPECT_GE(rep.pipelineLoops + rep.sequentialFallbacks, 1);
+  // lowering either maps them onto a pipeline construct or falls back
+  // sequentially — both must match the sequential interpretation exactly.
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("seidel-2d");
+  EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0);
+  EXPECT_GE(r.report.pipelineLoops + r.report.sequentialFallbacks, 1);
 }
 
 TEST(ParExec, EmitsRuntimeSpansWhenTraced) {
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   tracer.setEnabled(true);
-  ParallelRunReport rep;
-  expectParallelMatchesSequential("gemm", &rep);
+  NativeRun r = runNative("gemm");
   tracer.setEnabled(false);
   auto spans = tracer.spans();
   tracer.clear();
+  EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0);
   std::size_t chunks = 0;
   bool sawHarness = false;
   for (const auto& s : spans) {
@@ -486,115 +533,71 @@ TEST(ParExec, EmitsRuntimeSpansWhenTraced) {
 }
 
 TEST(ParExec, EveryKernelMatchesSequentialWithNoFallbacks) {
-  // Full executor coverage: across the whole PolyBench table and both the
+  // Full lowering coverage: across the whole PolyBench table and both the
   // tiled and untiled flows, every parallelism mark must reach a runtime
   // construct (zero sequential fallbacks) and the parallel buffers must
   // match the sequential interpretation — bit-for-bit for doall/pipeline
   // execution (statement instances are merely reordered), and within
   // reassociation tolerance when reduction accumulators were privatized.
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
   for (const auto& info : kernels::allKernels()) {
     for (const char* preset : {"polyast", "polyast-notile"}) {
-      ir::Program p = kernels::buildKernel(info.name);
-      flow::PassContext ctx;
-      obs::Registry local;
-      ctx.metrics = &local;
-      ir::Program q = flow::makePipeline(preset).run(p, ctx);
-      auto params = oddParams(q);
-      Context seq = kernels::makeContext(q, params);
-      Context par = kernels::makeContext(q, params);
-      run(q, seq);
-      runtime::ThreadPool pool(3);
-      ParallelRunReport rep = runParallel(q, par, pool);
+      NativeRun r = runNative(info.name, preset);
+      const ParallelRunReport& rep = r.report;
       EXPECT_EQ(rep.sequentialFallbacks, 0)
           << info.name << " / " << preset << "\n"
           << rep.summary();
       const bool reassociates =
           rep.reductionLoops + rep.reductionPipelineLoops > 0;
-      const double diff = par.maxAbsDiff(seq);
       if (reassociates)
-        EXPECT_LE(diff, 1e-9) << info.name << " / " << preset;
+        EXPECT_LE(r.check.maxAbsDiff, 1e-9) << info.name << " / " << preset;
       else
-        EXPECT_DOUBLE_EQ(diff, 0.0) << info.name << " / " << preset;
+        EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0)
+            << info.name << " / " << preset;
     }
   }
 }
 
 TEST(ParExec, ReductionKernelPrivatizesAndMatches) {
-  // mvt's fused form reduces into x1 and x2: the executor must map the
+  // mvt's fused form reduces into x1 and x2: the lowering must map the
   // marks onto parallelReduce (not fall back) and merge per-thread
   // accumulators into the shared targets.
-  ir::Program p = kernels::buildKernel("mvt");
-  flow::PassContext ctx;
-  obs::Registry local;
-  ctx.metrics = &local;
-  ir::Program q = flow::makePipeline("polyast").run(p, ctx);
-  auto params = oddParams(q);
-  Context seq = kernels::makeContext(q, params);
-  Context par = kernels::makeContext(q, params);
-  run(q, seq);
-  runtime::ThreadPool pool(3);
-  ParallelRunReport rep = runParallel(q, par, pool);
-  EXPECT_GE(rep.reductionLoops, 1);
-  EXPECT_EQ(rep.sequentialFallbacks, 0) << rep.summary();
-  EXPECT_LE(par.maxAbsDiff(seq), 1e-9);
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("mvt");
+  EXPECT_GE(r.report.reductionLoops, 1);
+  EXPECT_EQ(r.report.sequentialFallbacks, 0) << r.report.summary();
+  EXPECT_LE(r.check.maxAbsDiff, 1e-9);
 }
 
 TEST(ParExec, TimeTiledStencilUsesPipeline3D) {
   // seidel-2d's time-tiled nest is a rectangular 3-deep tile chain whose
-  // mark claims sync depth 3: the executor must use the 3D doacross grid.
-  ir::Program p = kernels::buildKernel("seidel-2d");
-  flow::PassContext ctx;
-  obs::Registry local;
-  ctx.metrics = &local;
-  ir::Program q = flow::makePipeline("polyast").run(p, ctx);
-  auto params = oddParams(q);
-  Context seq = kernels::makeContext(q, params);
-  Context par = kernels::makeContext(q, params);
-  run(q, seq);
-  runtime::ThreadPool pool(3);
-  ParallelRunReport rep = runParallel(q, par, pool);
-  EXPECT_GE(rep.pipeline3dLoops, 1) << rep.summary();
-  EXPECT_EQ(rep.sequentialFallbacks, 0);
-  EXPECT_DOUBLE_EQ(par.maxAbsDiff(seq), 0.0);
+  // mark claims sync depth 3: the lowering must use the 3D doacross grid.
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("seidel-2d");
+  EXPECT_GE(r.report.pipeline3dLoops, 1) << r.report.summary();
+  EXPECT_EQ(r.report.sequentialFallbacks, 0);
+  EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0);
 }
 
 TEST(ParExec, SkewedStencilUsesDynamicPipeline) {
   // Untiled jacobi-1d-imper is a skewed (non-rectangular) pipeline with a
   // non-unit inner step whose rows share one stride lattice: the dynamic
   // 2D doacross must apply instead of a sequential fallback.
-  ir::Program p = kernels::buildKernel("jacobi-1d-imper");
-  flow::PassContext ctx;
-  obs::Registry local;
-  ctx.metrics = &local;
-  ir::Program q = flow::makePipeline("polyast-notile").run(p, ctx);
-  auto params = oddParams(q);
-  Context seq = kernels::makeContext(q, params);
-  Context par = kernels::makeContext(q, params);
-  run(q, seq);
-  runtime::ThreadPool pool(3);
-  ParallelRunReport rep = runParallel(q, par, pool);
-  EXPECT_GE(rep.pipelineDynamicLoops, 1) << rep.summary();
-  EXPECT_EQ(rep.sequentialFallbacks, 0);
-  EXPECT_DOUBLE_EQ(par.maxAbsDiff(seq), 0.0);
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("jacobi-1d-imper", "polyast-notile");
+  EXPECT_GE(r.report.pipelineDynamicLoops, 1) << r.report.summary();
+  EXPECT_EQ(r.report.sequentialFallbacks, 0);
+  EXPECT_DOUBLE_EQ(r.check.maxAbsDiff, 0.0);
 }
 
 TEST(ParExec, GuidedScheduleSelectedForImbalancedDoall) {
   // symm's triangular doall loops reference the marked iterator in inner
-  // bounds; the executor must pick the guided schedule for them.
-  ir::Program p = kernels::buildKernel("symm");
-  flow::PassContext ctx;
-  obs::Registry local;
-  ctx.metrics = &local;
-  ir::Program q = flow::makePipeline("polyast").run(p, ctx);
-  auto params = oddParams(q);
-  Context seq = kernels::makeContext(q, params);
-  Context par = kernels::makeContext(q, params);
-  run(q, seq);
-  runtime::ThreadPool pool(3);
-  ParallelRunReport rep = runParallel(q, par, pool);
-  EXPECT_GE(rep.guidedLoops, 1) << rep.summary();
-  EXPECT_EQ(rep.sequentialFallbacks, 0);
-  EXPECT_LE(par.maxAbsDiff(seq), 1e-9);
+  // bounds; the lowering must pick the guided schedule for them.
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
+  NativeRun r = runNative("symm");
+  EXPECT_GE(r.report.guidedLoops, 1) << r.report.summary();
+  EXPECT_EQ(r.report.sequentialFallbacks, 0);
+  EXPECT_LE(r.check.maxAbsDiff, 1e-9);
 }
 
 TEST(ParExec, RunSubtreeExecutesWithBindings) {

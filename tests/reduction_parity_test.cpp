@@ -155,20 +155,25 @@ TEST(ReductionRelaxation, RelaxedSchedulesReProven) {
 
 /// Stress entry for the TSan CI job (ctest -R ReductionStress): the most
 /// reassociated relaxed schedules, re-executed on a contended pool so
-/// every privatize+merge path runs many times. Correctness of the values
-/// is ReductionParity's job; this test exists to give the race detector
-/// iterations to bite on.
+/// every privatize+merge path runs many times. It runs on the native
+/// backend, the only parallel executor; in a TSan build the JIT compiles
+/// the kernels with -fsanitize=thread too, so the detector sees the
+/// kernel bodies. Correctness of the values is ReductionParity's job;
+/// this test exists to give the race detector iterations to bite on.
 TEST(ReductionStress, RelaxedPrivatizationUnderContention) {
+  if (!haveCompiler()) GTEST_SKIP() << "no C compiler on PATH";
   runtime::ThreadPool pool(8);
-  auto backend = exec::makeBackend("interp");
+  auto backend = exec::makeBackend("native");
   for (const char* name : {"gemm", "correlation", "doitgen", "gemver"}) {
     ir::Program p = transformed(name, poly::ReductionMode::Relaxed);
     auto params = testParams(p);
     for (int round = 0; round < 4; ++round) {
       exec::Context par = kernels::makeContext(p, params);
       exec::Context seq = kernels::makeContext(p, params);
-      exec::VerifyResult check = backend->verify(p, par, seq, pool);
+      exec::ParallelRunReport rep;
+      exec::VerifyResult check = backend->verify(p, par, seq, pool, &rep);
       ASSERT_TRUE(check.passed()) << name << " round " << round;
+      ASSERT_EQ(rep.nativeFallbacks, 0) << rep.summary();
     }
   }
 }

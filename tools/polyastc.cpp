@@ -66,18 +66,21 @@
 //                       stats, ...) as JSON, or CSV if FILE ends in .csv.
 //                       Also turns on latency timing (histograms).
 //   --obs-summary       print a human-readable metrics table to stderr.
-//   --execute           run the transformed program on the parallel
-//                       runtime at test scale (doall/pipeline marks map
-//                       onto the thread pool) and validate the buffers
+//   --execute           run the transformed program at test scale on
+//                       the selected backend and validate the buffers
 //                       against a sequential interpretation.
 //   --backend NAME      execution backend for --execute: `interp`
-//                       (default, interpreted executor) or `native`
-//                       (JIT-compile the program to a shared object via
-//                       the system C toolchain — cached under
-//                       $POLYAST_JIT_CACHE — and run the machine code
-//                       on the same thread pool; degrades to interp
-//                       with a reported reason when no toolchain is
-//                       usable or POLYAST_JIT=off).
+//                       (default, the sequential interpreter — marks
+//                       are ignored) or `native` (JIT-compile the
+//                       program to a shared object via the system C
+//                       toolchain — cached under $POLYAST_JIT_CACHE —
+//                       and run the machine code on the thread pool,
+//                       doall/reduction/pipeline marks mapped onto the
+//                       runtime; degrades to interp with a reported
+//                       reason when no toolchain is usable or
+//                       POLYAST_JIT=off).
+//   --threads N         thread-pool size for --backend native (default:
+//                       all cores); the interpreter runs on one thread.
 //   --perf              measure the --execute run with per-thread
 //                       hardware-counter sessions (src/obs/perf.hpp;
 //                       implies --execute). Degrades gracefully to
@@ -111,8 +114,7 @@
 //   polyastc 2mm --pipeline polyast --emit c > 2mm_opt.c && cc -O3 2mm_opt.c
 //   polyastc gemm --pipeline pocc-vect --emit ir
 //   polyastc seidel-2d --pipeline polyast --verify-each-pass --dump-after all
-//   polyastc gemm --pipeline polyast --execute \
-//       --trace-out trace.json --metrics-out metrics.json
+//   polyastc gemm --execute --backend native --trace-out trace.json
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -127,7 +129,6 @@
 #include "dl/dl_predict.hpp"
 #include "exec/backend.hpp"
 #include "exec/native_exec.hpp"
-#include "exec/par_exec.hpp"
 #include "flow/analyze.hpp"
 #include "flow/presets.hpp"
 #include "ir/cemit.hpp"
@@ -477,15 +478,19 @@ int main(int argc, char** argv) {
       // instances, so every cell's arithmetic is bit-identical; reduction
       // privatization reassociates the accumulated sums, so those runs get
       // a tolerance (Backend::toleranceFor).
-      if (!pool) pool = std::make_unique<runtime::ThreadPool>(threads);
+      // The interpreter runs on the calling thread: no idle workers, and
+      // the artifacts' thread count says what was measured.
+      if (!pool)
+        pool = std::make_unique<runtime::ThreadPool>(
+            backend == "native" ? threads : 1u);
       if (!execBackend) execBackend = exec::makeBackend(backend);
       exec::Context seq = kernels::makeContext(out, params);
       exec::Context par = kernels::makeContext(out, params);
       obs::PerfAggregate agg;
       // Construct-level attribution rides along with --perf: the profiler
-      // is installed across verify() — the sequential oracle runs hookless
-      // (it never dispatches constructs), and the backend run brackets
-      // itself with beginRun/endRun on its driving thread.
+      // is installed across verify() — the oracle (exec::run) never fires
+      // construct hooks, and the backend run brackets itself with
+      // beginRun/endRun on its driving thread.
       std::unique_ptr<obs::ConstructProfiler> cprof;
       if (perf) {
         cprof = std::make_unique<obs::ConstructProfiler>();
@@ -497,8 +502,9 @@ int main(int argc, char** argv) {
       if (cprof) cprof->uninstall();
       std::cerr << rep.summary() << "\n"
                 << "parallel vs sequential max abs diff: "
-                << check.maxAbsDiff << " on " << pool->threadCount()
-                << " threads (tolerance " << check.tolerance << ")\n";
+                << check.maxAbsDiff << " on "
+                << (rep.backend == "native" ? pool->threadCount() : 1u)
+                << " thread(s) (tolerance " << check.tolerance << ")\n";
       if (!check.passed()) {
         std::cerr << "error: parallel execution diverged\n";
         dynamicBroken = true;
