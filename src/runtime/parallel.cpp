@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -268,58 +267,119 @@ void parallelReduce(
   }
 }
 
-SyncStats pipeline2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
-                     const std::function<void(std::int64_t, std::int64_t)>&
-                         cell) {
+namespace {
+
+/// Completed-cell count of one doacross line, alone on its cache line so
+/// that the release stores of lines run by different workers do not
+/// false-share.
+struct alignas(64) LineProgress {
+  std::atomic<std::int64_t> done{0};
+};
+
+/// Consumer lag: a worker that has to wait for a predecessor line waits
+/// until that line is cols/kLagDivisor cells past the cell it needs
+/// (clamped to the line's length), not just one cell past it. Otherwise
+/// consumer and producer move in lockstep, one cache-line round trip per
+/// cell.
+constexpr std::int64_t kLagDivisor = 16;
+
+/// A predecessor line as one consumer sees it: its counter, its length
+/// (the lag's clamp) and the last value the consumer read from it.
+struct Pred {
+  const std::atomic<std::int64_t>* done = nullptr;
+  std::int64_t cols = 0;
+  std::int64_t seen = 0;
+};
+
+/// One worker's wait accounting.
+struct WaitState {
+  SpinBackoff backoff;
+  obs::Histogram* hist = nullptr;  ///< null when timing is off
+  std::uint64_t episodes = 0;
+};
+
+/// Returns once `pred` has completed `want` cells. The cached `seen`
+/// answers most calls without touching the shared counter; a stale cache
+/// costs one acquire load. A wait that is still unavoidable spins until
+/// the lag target and counts as one episode (counted and timed only after
+/// its first pause, so episodes never exceed spin iterations).
+void awaitProgress(Pred& pred, std::int64_t want, WaitState& ws) {
+  if (pred.seen >= want) return;
+  pred.seen = pred.done->load(std::memory_order_acquire);
+  if (pred.seen >= want) return;
+  const std::int64_t target =
+      std::min(pred.cols, want + pred.cols / kLagDivisor);
+  const auto start = ws.hist ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point();
+  ws.backoff.reset();
+  do {
+    ws.backoff.pause();
+    pred.seen = pred.done->load(std::memory_order_acquire);
+  } while (pred.seen < target);
+  ++ws.episodes;
+  if (ws.hist)
+    ws.hist->observe(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+}
+
+/// One doacross line: its cell count and the lower lines it awaits (-1
+/// for none; an empty line is awaited by nobody).
+struct LineShape {
+  std::int64_t cols = 0;
+  std::int64_t pred[2] = {-1, -1};
+};
+
+/// The doacross core of the three pipelines. Lines are claimed in
+/// increasing order off one atomic counter and each runs left to right on
+/// the worker that claimed it; cell c of line l first awaits want(l, c)
+/// completed cells of every predecessor in shape(l), runs cell(l, c), then
+/// publishes c + 1 on the line's counter.
+template <class Shape, class Want, class Cell>
+SyncStats doacross(ThreadPool& pool, std::int64_t lines, const char* span,
+                   const Shape& shape, const Want& want, const Cell& cell) {
   SyncStats stats;
-  if (rows <= 0 || cols <= 0) return stats;
-  // progress[r] = number of completed cells in row r.
-  std::vector<std::atomic<std::int64_t>> progress(
-      static_cast<std::size_t>(rows));
-  for (auto& p : progress) p.store(0, std::memory_order_relaxed);
-  std::atomic<std::int64_t> nextRow{0};
+  if (lines <= 0) return stats;
+  std::vector<LineProgress> progress(static_cast<std::size_t>(lines));
+  std::atomic<std::int64_t> nextLine{0};
   std::atomic<std::uint64_t> waits{0};
   std::atomic<std::uint64_t> spinIters{0};
-
   pool.runOnAll([&](unsigned tid) {
-    obs::Span worker("pipeline.worker", "runtime");
+    obs::Span worker(span, "runtime");
     worker.attr("tid", static_cast<std::int64_t>(tid));
-    obs::Histogram* waitHist = waitHistogram(tid);
-    std::int64_t rowsDone = 0;
-    SpinBackoff backoff;
+    WaitState ws;
+    ws.hist = waitHistogram(tid);
+    std::int64_t linesDone = 0;
     for (;;) {
-      std::int64_t r = nextRow.fetch_add(1, std::memory_order_relaxed);
-      if (r >= rows) break;
-      ++rowsDone;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        if (r > 0) {
-          // await source(r-1, c): the previous row must have completed at
-          // least c+1 cells.
-          auto& prev = progress[static_cast<std::size_t>(r - 1)];
-          if (prev.load(std::memory_order_acquire) < c + 1) {
-            waits.fetch_add(1, std::memory_order_relaxed);
-            backoff.reset();
-            auto waitStart = waitHist ? std::chrono::steady_clock::now()
-                                      : std::chrono::steady_clock::
-                                            time_point();
-            while (prev.load(std::memory_order_acquire) < c + 1)
-              backoff.pause();
-            if (waitHist)
-              waitHist->observe(static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - waitStart)
-                      .count()));
-          }
+      const std::int64_t l = nextLine.fetch_add(1, std::memory_order_relaxed);
+      if (l >= lines) break;
+      const LineShape ls = shape(l);
+      if (ls.cols <= 0) continue;
+      ++linesDone;
+      Pred preds[2];
+      int npreds = 0;
+      for (std::int64_t p : ls.pred) {
+        const std::int64_t pcols = p >= 0 ? shape(p).cols : 0;
+        if (pcols > 0)
+          preds[npreds++] = {&progress[static_cast<std::size_t>(p)].done,
+                             pcols, 0};
+      }
+      auto& mine = progress[static_cast<std::size_t>(l)].done;
+      for (std::int64_t c = 0; c < ls.cols; ++c) {
+        // await (l, c-1) is implicit: the same worker runs the line left
+        // to right.
+        if (npreds > 0) {
+          const std::int64_t w = want(l, c);
+          for (int k = 0; k < npreds; ++k) awaitProgress(preds[k], w, ws);
         }
-        // await source(r, c-1) is implicit: the same thread runs the row
-        // left to right.
-        cell(r, c);
-        progress[static_cast<std::size_t>(r)].store(
-            c + 1, std::memory_order_release);
+        cell(l, c);
+        mine.store(c + 1, std::memory_order_release);
       }
     }
-    worker.attr("rows", rowsDone);
-    spinIters.fetch_add(backoff.iterations(), std::memory_order_relaxed);
+    worker.attr("lines", linesDone);
+    waits.fetch_add(ws.episodes, std::memory_order_relaxed);
+    spinIters.fetch_add(ws.backoff.iterations(), std::memory_order_relaxed);
   });
   stats.pointToPointWaits = waits.load();
   stats.spinIterations = spinIters.load();
@@ -327,74 +387,36 @@ SyncStats pipeline2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
   return stats;
 }
 
+}  // namespace
+
+SyncStats pipeline2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
+                     const std::function<void(std::int64_t, std::int64_t)>&
+                         cell) {
+  if (cols <= 0) return {};
+  // await source(r-1, c): the previous row must have completed c+1 cells.
+  return doacross(
+      pool, rows, "pipeline.worker",
+      [&](std::int64_t r) { return LineShape{cols, {r - 1, -1}}; },
+      [](std::int64_t, std::int64_t c) { return c + 1; }, cell);
+}
+
 SyncStats pipelineDynamic2D(
     ThreadPool& pool, const std::vector<std::int64_t>& rowCols,
     const std::function<std::int64_t(std::int64_t, std::int64_t)>& need,
     const std::function<void(std::int64_t, std::int64_t)>& cell) {
-  SyncStats stats;
-  const std::int64_t rows = static_cast<std::int64_t>(rowCols.size());
-  if (rows <= 0) return stats;
-  // progress[r] = number of completed cells in row r (row-relative).
-  std::vector<std::atomic<std::int64_t>> progress(
-      static_cast<std::size_t>(rows));
-  for (auto& p : progress) p.store(0, std::memory_order_relaxed);
-  std::atomic<std::int64_t> nextRow{0};
-  std::atomic<std::uint64_t> waits{0};
-  std::atomic<std::uint64_t> spinIters{0};
-
-  pool.runOnAll([&](unsigned tid) {
-    obs::Span worker("pipeline.worker", "runtime");
-    worker.attr("tid", static_cast<std::int64_t>(tid));
-    worker.attr("shape", "dynamic");
-    obs::Histogram* waitHist = waitHistogram(tid);
-    std::int64_t rowsDone = 0;
-    SpinBackoff backoff;
-    for (;;) {
-      std::int64_t r = nextRow.fetch_add(1, std::memory_order_relaxed);
-      if (r >= rows) break;
-      const std::int64_t cols = rowCols[static_cast<std::size_t>(r)];
-      if (cols <= 0) continue;  // empty rows only at the range ends
-      ++rowsDone;
-      const std::int64_t prevCols =
-          r > 0 ? rowCols[static_cast<std::size_t>(r - 1)] : 0;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        if (prevCols > 0) {
-          // await: the previous row must have completed the first
-          // need(r, c) of its cells (clamped defensively — an empty or
-          // short predecessor row cannot owe more than it has).
-          const std::int64_t wantRaw = need(r, c);
-          const std::int64_t want =
-              std::min(prevCols, std::max<std::int64_t>(0, wantRaw));
-          auto& prev = progress[static_cast<std::size_t>(r - 1)];
-          if (want > 0 && prev.load(std::memory_order_acquire) < want) {
-            waits.fetch_add(1, std::memory_order_relaxed);
-            backoff.reset();
-            auto waitStart = waitHist ? std::chrono::steady_clock::now()
-                                      : std::chrono::steady_clock::
-                                            time_point();
-            while (prev.load(std::memory_order_acquire) < want)
-              backoff.pause();
-            if (waitHist)
-              waitHist->observe(static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - waitStart)
-                      .count()));
-          }
-        }
-        // await (r, c-1) is implicit: the same thread runs the row left
-        // to right.
-        cell(r, c);
-        progress[static_cast<std::size_t>(r)].store(
-            c + 1, std::memory_order_release);
-      }
-    }
-    worker.attr("rows", rowsDone);
-    spinIters.fetch_add(backoff.iterations(), std::memory_order_relaxed);
-  });
-  stats.pointToPointWaits = waits.load();
-  stats.spinIterations = spinIters.load();
-  absorbSyncStats(stats);
-  return stats;
+  // await: the previous row must have completed the first need(r, c) of
+  // its cells (clamped: a short predecessor row cannot owe more than it
+  // has).
+  return doacross(
+      pool, static_cast<std::int64_t>(rowCols.size()), "pipeline.worker",
+      [&](std::int64_t r) {
+        return LineShape{rowCols[static_cast<std::size_t>(r)], {r - 1, -1}};
+      },
+      [&](std::int64_t r, std::int64_t c) {
+        return std::min(rowCols[static_cast<std::size_t>(r - 1)],
+                        std::max<std::int64_t>(0, need(r, c)));
+      },
+      cell);
 }
 
 SyncStats wavefront2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
@@ -423,97 +445,17 @@ SyncStats pipeline3D(
     std::int64_t cols,
     const std::function<void(std::int64_t, std::int64_t, std::int64_t)>&
         cell) {
-  SyncStats stats;
-  if (planes <= 0 || rows <= 0 || cols <= 0) return stats;
-  std::int64_t total = planes * rows * cols;
-  auto id = [&](std::int64_t p, std::int64_t r, std::int64_t c) {
-    return (p * rows + r) * cols + c;
-  };
-  // Remaining-predecessor counters per cell.
-  std::vector<std::atomic<int>> pending(static_cast<std::size_t>(total));
-  for (std::int64_t p = 0; p < planes; ++p)
-    for (std::int64_t r = 0; r < rows; ++r)
-      for (std::int64_t c = 0; c < cols; ++c)
-        pending[static_cast<std::size_t>(id(p, r, c))].store(
-            (p > 0) + (r > 0) + (c > 0), std::memory_order_relaxed);
-
-  // Ready stack (mutex-protected; cells are coarse blocks, contention is
-  // negligible next to the work).
-  std::mutex mu;
-  std::vector<std::int64_t> ready{id(0, 0, 0)};
-  std::atomic<std::int64_t> done{0};
-  std::atomic<std::uint64_t> waits{0};
-  std::atomic<std::uint64_t> spinIters{0};
-
-  pool.runOnAll([&](unsigned tid) {
-    obs::Span worker("pipeline3d.worker", "runtime");
-    worker.attr("tid", static_cast<std::int64_t>(tid));
-    obs::Histogram* waitHist = waitHistogram(tid);
-    std::int64_t cellsDone = 0;
-    SpinBackoff backoff;
-    // One wait *episode* spans every idle iteration between two successful
-    // pops; it is counted and timed once, matching pipeline2D's full-wait
-    // semantics so `runtime.pipeline.wait_ns.t<tid>` is comparable across
-    // executors.
-    bool waiting = false;
-    auto waitStart = std::chrono::steady_clock::time_point();
-    for (;;) {
-      std::int64_t next = -1;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!ready.empty()) {
-          next = ready.back();
-          ready.pop_back();
-        }
-      }
-      if (next < 0) {
-        if (done.load(std::memory_order_acquire) >= total) {
-          spinIters.fetch_add(backoff.iterations(),
-                              std::memory_order_relaxed);
-          worker.attr("cells", cellsDone);
-          return;
-        }
-        if (!waiting) {
-          waiting = true;
-          waits.fetch_add(1, std::memory_order_relaxed);
-          backoff.reset();
-          if (waitHist) waitStart = std::chrono::steady_clock::now();
-        }
-        backoff.pause();
-        continue;
-      }
-      if (waiting) {
-        waiting = false;
-        if (waitHist)
-          waitHist->observe(static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - waitStart)
-                  .count()));
-      }
-      ++cellsDone;
-      backoff.reset();
-      std::int64_t c = next % cols;
-      std::int64_t r = (next / cols) % rows;
-      std::int64_t p = next / (cols * rows);
-      cell(p, r, c);
-      done.fetch_add(1, std::memory_order_release);
-      const std::int64_t succ[3][3] = {
-          {p + 1, r, c}, {p, r + 1, c}, {p, r, c + 1}};
-      for (const auto& s : succ) {
-        if (s[0] >= planes || s[1] >= rows || s[2] >= cols) continue;
-        std::int64_t sid = id(s[0], s[1], s[2]);
-        if (pending[static_cast<std::size_t>(sid)].fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lock(mu);
-          ready.push_back(sid);
-        }
-      }
-    }
-  });
-  stats.pointToPointWaits = waits.load();
-  stats.spinIterations = spinIters.load();
-  absorbSyncStats(stats);
-  return stats;
+  if (planes <= 0 || rows <= 0 || cols <= 0) return {};
+  // Line l = p * rows + r; cell (p, r, c) awaits lines (p-1, r) and
+  // (p, r-1) up to column c, and (p, r, c-1) by running the line in order.
+  return doacross(
+      pool, planes * rows, "pipeline3d.worker",
+      [&](std::int64_t l) {
+        return LineShape{
+            cols, {l >= rows ? l - rows : -1, l % rows > 0 ? l - 1 : -1}};
+      },
+      [](std::int64_t, std::int64_t c) { return c + 1; },
+      [&](std::int64_t l, std::int64_t c) { cell(l / rows, l % rows, c); });
 }
 
 }  // namespace polyast::runtime

@@ -8,12 +8,31 @@
 //   * ThreadPool — persistent worker threads,
 //   * parallelFor — doall loops (static chunking),
 //   * parallelReduce — privatized array reductions with a merge phase,
-//   * Pipeline2D — the `await source(i-1,j) source(i,j-1)` construct of
-//     Fig. 6 (left): each cell of a 2-D grid runs when its north and west
-//     neighbours completed, synchronized by per-cell atomic flags — no
-//     all-to-all barriers,
+//   * pipeline2D / pipelineDynamic2D / pipeline3D — the `await source(i-1,j)
+//     source(i,j-1)` construct of Fig. 6 (left), with no all-to-all
+//     barrier,
 //   * wavefront2D — the comparator of Fig. 6 (right): diagonal sweeps with
 //     a barrier between diagonals (the classic skewed doall).
+//
+// The three pipelines share one doacross core that synchronizes per
+// *line*. A line is a row of the 2-D grids or a (plane, row) pair of the
+// 3-D one. Workers claim lines in increasing (lexicographic) order off one
+// atomic counter and run each line's cells left to right. Each line
+// publishes its completed-cell count on a counter padded to its own cache
+// line. Before cell c, a worker awaits the lower lines the cell depends
+// on: the previous row, and in 3-D also the previous plane's same row. It
+// reads a predecessor's counter only when its cached copy is too small for
+// c. A wait that cannot be avoided spins (then yields) until the
+// predecessor is 1/16 of its length past the cell needed, clamped to that
+// length (the consumer lag). That keeps producer and consumer from moving
+// in lockstep, one cache-line round trip per cell. So a cell awaits at
+// least its predecessors, sometimes more.
+//
+// No deadlock: lines are claimed in increasing order, every worker runs
+// its line to the end before claiming another, and a line awaits only
+// lower lines. So the lowest unfinished line has every predecessor
+// finished and can always progress. The lag raises a wait target at most
+// to the predecessor's own length, which a finished line has reached.
 //
 // Instrumentation counters (synchronization operations, barrier count) are
 // exposed so tests and the Fig. 6 benchmark can compare the two schemes
@@ -131,17 +150,17 @@ void parallelReduce(
 
 /// Counters for comparing synchronization schemes (Fig. 6).
 struct SyncStats {
-  std::uint64_t pointToPointWaits = 0;  ///< cell-level await operations
+  std::uint64_t pointToPointWaits = 0;  ///< await episodes that paused
   std::uint64_t barriers = 0;           ///< all-to-all barriers executed
   std::uint64_t spinIterations = 0;     ///< backoff iterations while waiting
 };
 
-/// Bounded spin-then-yield backoff shared by the pipeline executors'
-/// wait loops: the first `spinLimit` iterations issue a CPU relax hint
-/// (cheap polling that keeps the waited-on cache line hot); every
-/// iteration past the bound yields to the scheduler so oversubscribed
-/// waiters do not starve the producers they wait on. Iterations are
-/// counted so benches report spin traffic alongside sync-op counts.
+/// Bounded spin-then-yield backoff of the pipelines' wait: the first
+/// `spinLimit` iterations issue a CPU relax hint (cheap polling that keeps
+/// the waited-on cache line hot); every iteration past the bound yields to
+/// the scheduler so oversubscribed waiters do not starve the producers
+/// they wait on. Iterations are counted so benches report spin traffic
+/// alongside sync-op counts.
 class SpinBackoff {
  public:
   explicit SpinBackoff(std::uint32_t spinLimit = 64)
@@ -180,10 +199,9 @@ class SpinBackoff {
 };
 
 /// Point-to-point pipeline over a 2-D cell grid (rows x cols): cell (r, c)
-/// runs after (r-1, c) and (r, c-1). Rows are distributed over threads;
-/// progress is tracked by per-row atomic column counters, giving the
-/// doacross behaviour of the proposed OpenMP `await` extension without
-/// any barrier.
+/// runs after (r-1, c) and (r, c-1). Each row is one doacross line (see
+/// the file comment), giving the behaviour of the proposed OpenMP `await`
+/// extension without any barrier.
 SyncStats pipeline2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
                      const std::function<void(std::int64_t, std::int64_t)>&
                          cell);
@@ -193,9 +211,8 @@ SyncStats pipeline2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
 /// spaces). Cell (r, c) runs after cells (r-1, 0..need(r,c)-1) of the
 /// previous row and (r, c-1) of its own row; need(r, c) returns the number
 /// of previous-row cells cell (r, c) depends on, in *row-relative* column
-/// counts (clamped to [0, rowCols[r-1]] by the caller). Rows are claimed
-/// dynamically like pipeline2D; progress is per-row completed-cell
-/// counters.
+/// counts (clamped to [0, rowCols[r-1]] here). Each row is one doacross
+/// line, as in pipeline2D.
 ///
 /// Precondition (holds for unit-step affine loop nests, whose row
 /// intervals are convex): rows with zero cells appear only as a prefix
@@ -218,8 +235,9 @@ SyncStats wavefront2D(ThreadPool& pool, std::int64_t rows, std::int64_t cols,
 /// Three-dimensional doacross: cell (p, r, c) runs after (p-1, r, c),
 /// (p, r-1, c) and (p, r, c-1) — the construct needed for *time-tiled*
 /// stencil pipelines, where the first dimension is the time step within a
-/// tile and the other two are skewed space blocks. Implemented as a
-/// ready-queue over per-cell dependency counters (no barriers).
+/// tile and the other two are skewed space blocks. Each (p, r) pair is one
+/// doacross line, claimed in lexicographic order: cell (p, r, c) awaits
+/// lines (p-1, r) and (p, r-1) up to column c (no barriers).
 SyncStats pipeline3D(
     ThreadPool& pool, std::int64_t planes, std::int64_t rows,
     std::int64_t cols,

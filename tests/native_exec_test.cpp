@@ -25,13 +25,26 @@ bool haveCompiler() {
   return std::system("command -v cc > /dev/null 2>&1") == 0;
 }
 
-/// Per-test-binary cache directory, fresh on every run so compile/cache
-/// counter assertions are deterministic.
+/// Cache directory, fresh on every call so compile/cache counter
+/// assertions are deterministic. Every one is removed at process exit, so
+/// runs leave no compiled objects behind.
 std::string freshCacheDir() {
+  struct Dirs {
+    std::vector<std::string> paths;
+    ~Dirs() {
+      for (const auto& path : paths) {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+      }
+    }
+  };
+  static Dirs dirs;
   char tmpl[] = "/tmp/polyast_native_test_XXXXXX";
   char* dir = mkdtemp(tmpl);
   EXPECT_NE(dir, nullptr);
-  return dir ? dir : "/tmp/polyast_native_test_fallback";
+  if (!dir) return "/tmp/polyast_native_test_fallback";
+  dirs.paths.emplace_back(dir);
+  return dirs.paths.back();
 }
 
 /// Test-scale parameters (same choice as polyastc --execute): small, but
@@ -427,7 +440,7 @@ TEST(NativeExec, KernelOnlyTuCompilesWarningClean) {
   EXPECT_EQ(src.find("int main"), std::string::npos);
   EXPECT_EQ(src.find("polyast_seed"), std::string::npos);
 
-  std::string base = "/tmp/polyast_native_test_kernel_only";
+  std::string base = freshCacheDir() + "/kernel_only";
   {
     std::ofstream f(base + ".c");
     f << src;

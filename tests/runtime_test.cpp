@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace polyast::runtime {
 namespace {
@@ -158,10 +161,12 @@ TEST(SpinBackoff, PipelineCountsSpinIterations) {
         for (std::int64_t i = 0; i < (r == 0 ? 20000 : 10); ++i) acc += i;
         sink.fetch_add(acc, std::memory_order_relaxed);
       });
-  // A wait can resolve between its detection and the first backoff step,
-  // so per-wait bounds would be racy; but with any waits at all, some
-  // spinning must have been recorded.
-  if (stats.pointToPointWaits > 0) EXPECT_GT(stats.spinIterations, 0u);
+  // A wait counts only after its first backoff pause, so every counted
+  // wait has recorded spinning.
+  if (stats.pointToPointWaits > 0) {
+    EXPECT_GT(stats.spinIterations, 0u);
+  }
+  EXPECT_LE(stats.pointToPointWaits, stats.spinIterations);
 }
 
 TEST(Pipeline2D, DegenerateShapes) {
@@ -387,12 +392,15 @@ int dynamicOrderViolations(ThreadPool& pool,
         if (c > 0 &&
             !done[rowBase[ur] + static_cast<std::size_t>(c) - 1].load())
           ++violations;
-        done[rowBase[ur] + static_cast<std::size_t>(c)].store(1);
+        done[rowBase[ur] + static_cast<std::size_t>(c)].fetch_add(1);
       });
-  int unfinished = 0;
-  for (auto& d : done)
+  int unfinished = 0, repeated = 0;
+  for (auto& d : done) {
     if (!d.load()) ++unfinished;
+    if (d.load() > 1) ++repeated;
+  }
   EXPECT_EQ(unfinished, 0);
+  EXPECT_EQ(repeated, 0);
   return violations.load();
 }
 
@@ -494,6 +502,136 @@ TEST(Pipeline3D, WaitHistogramCountsEpisodesNotPauses) {
     EXPECT_GT(stats.spinIterations, 0u);
     EXPECT_LE(stats.pointToPointWaits, stats.spinIterations);
   }
+}
+
+/// Busy work that makes the first line of a grid the slow producer, so
+/// the lines after it must really wait (and take the consumer lag).
+void slowIfFirst(std::int64_t line) {
+  volatile std::int64_t acc = 0;
+  for (std::int64_t i = 0; i < (line == 0 ? 3000 : 20); ++i) acc = acc + i;
+}
+
+/// Runs pipeline3D over a P x R x C grid and returns the number of cells
+/// that ran before one of their three predecessors. The run counts are
+/// plain ints, so a TSan build also checks that every predecessor's write
+/// happens-before its successor's read. Every cell must run exactly once.
+int pipeline3DOrderViolations(ThreadPool& pool, std::int64_t P,
+                              std::int64_t R, std::int64_t C) {
+  std::vector<int> runs(static_cast<std::size_t>(P * R * C), 0);
+  auto at = [&](std::int64_t p, std::int64_t r, std::int64_t c) -> int& {
+    return runs[static_cast<std::size_t>((p * R + r) * C + c)];
+  };
+  std::atomic<int> violations{0};
+  pipeline3D(pool, P, R, C,
+             [&](std::int64_t p, std::int64_t r, std::int64_t c) {
+               slowIfFirst(p * R + r);
+               if ((p > 0 && at(p - 1, r, c) != 1) ||
+                   (r > 0 && at(p, r - 1, c) != 1) ||
+                   (c > 0 && at(p, r, c - 1) != 1))
+                 ++violations;
+               ++at(p, r, c);
+             });
+  for (int n : runs) EXPECT_EQ(n, 1);
+  return violations.load();
+}
+
+/// pipeline2D counterpart of pipeline3DOrderViolations.
+int pipeline2DOrderViolations(ThreadPool& pool, std::int64_t R,
+                              std::int64_t C) {
+  std::vector<int> runs(static_cast<std::size_t>(R * C), 0);
+  auto at = [&](std::int64_t r, std::int64_t c) -> int& {
+    return runs[static_cast<std::size_t>(r * C + c)];
+  };
+  std::atomic<int> violations{0};
+  pipeline2D(pool, R, C, [&](std::int64_t r, std::int64_t c) {
+    slowIfFirst(r);
+    if ((r > 0 && at(r - 1, c) != 1) || (c > 0 && at(r, c - 1) != 1))
+      ++violations;
+    ++at(r, c);
+  });
+  for (int n : runs) EXPECT_EQ(n, 1);
+  return violations.load();
+}
+
+/// A consumer that must wait waits for cols/16 more predecessor cells,
+/// clamped to the predecessor's length: lengths 15, 16, 17 and 33 lag 0,
+/// 1, 1 and 2 cells, and near a line's end the clamp must stop the lag
+/// from waiting for cells that do not exist.
+TEST(Doacross, LaggingConsumerAroundTheLagDivisor) {
+  ThreadPool pool(4);
+  for (std::int64_t C : {15, 16, 17, 33}) {
+    EXPECT_EQ(pipeline2DOrderViolations(pool, 9, C), 0) << C;
+    EXPECT_EQ(pipeline3DOrderViolations(pool, 3, 4, C), 0) << C;
+  }
+}
+
+TEST(Doacross, SingleColumn) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pipeline2DOrderViolations(pool, 23, 1), 0);
+  EXPECT_EQ(pipeline3DOrderViolations(pool, 5, 7, 1), 0);
+  EXPECT_EQ(dynamicOrderViolations(pool, std::vector<std::int64_t>(9, 0),
+                                   std::vector<std::int64_t>(9, 1)),
+            0);
+}
+
+TEST(Doacross, Pipeline3DSinglePlaneOrSingleRow) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pipeline3DOrderViolations(pool, 1, 9, 20), 0);
+  EXPECT_EQ(pipeline3DOrderViolations(pool, 9, 1, 20), 0);
+}
+
+/// need() past the previous row's last cell is clamped to that row's
+/// length: in the growing triangle the last cell of each row needs one
+/// more cell than the row above has, and in the shrinking triangle whose
+/// origin moves two values per row it needs two.
+TEST(Doacross, DynamicNeedBeyondPreviousRow) {
+  ThreadPool pool(4);
+  const std::int64_t R = 40;
+  std::vector<std::int64_t> rowLo(R, 0), rowCols(R);
+  for (std::int64_t r = 0; r < R; ++r)
+    rowCols[static_cast<std::size_t>(r)] = r + 1;
+  EXPECT_EQ(dynamicOrderViolations(pool, rowLo, rowCols), 0);
+  for (std::int64_t r = 0; r < R; ++r) {
+    rowLo[static_cast<std::size_t>(r)] = 2 * r;
+    rowCols[static_cast<std::size_t>(r)] = R - r;
+  }
+  EXPECT_EQ(dynamicOrderViolations(pool, rowLo, rowCols), 0);
+}
+
+TEST(Doacross, OneThreadAndMoreThreadsThanLines) {
+  for (unsigned threads : {1u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pipeline2DOrderViolations(pool, 3, 40), 0) << threads;
+    EXPECT_EQ(pipeline3DOrderViolations(pool, 2, 2, 40), 0) << threads;
+    EXPECT_EQ(dynamicOrderViolations(pool, {0, 1, 2}, {30, 28, 26}), 0)
+        << threads;
+  }
+}
+
+/// A wait episode counts only after it paused, and every counted episode
+/// is timed once into the per-thread wait histograms.
+TEST(Doacross, EveryCountedWaitPausedAndWasTimed) {
+  ThreadPool pool(4);
+  obs::Registry& reg = obs::Registry::global();
+  const bool timing = reg.timingEnabled();
+  reg.setTimingEnabled(true);
+  auto timed = [&] {
+    std::uint64_t n = 0;
+    for (unsigned t = 0; t < pool.threadCount(); ++t)
+      n += reg.histogram("runtime.pipeline.wait_ns.t" + std::to_string(t),
+                         obs::waitLatencyBounds())
+               .count();
+    return n;
+  };
+  const std::uint64_t before = timed();
+  SyncStats stats = pipeline2D(pool, 8, 64, [](std::int64_t r,
+                                               std::int64_t) {
+    slowIfFirst(r);
+  });
+  const std::uint64_t after = timed();
+  reg.setTimingEnabled(timing);
+  EXPECT_LE(stats.pointToPointWaits, stats.spinIterations);
+  EXPECT_EQ(after - before, stats.pointToPointWaits);
 }
 
 }  // namespace
