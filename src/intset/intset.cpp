@@ -154,6 +154,8 @@ void IntSet::addConstraint(Constraint c) {
   POLYAST_CHECK(c.coeffs.size() == numVars(), "constraint dimension mismatch");
   normalize(c);
   cs_.push_back(std::move(c));
+  emptyMemo_.reset();
+  minMemo_.clear();
 }
 
 void IntSet::normalize(Constraint& c) {
@@ -300,6 +302,11 @@ std::vector<Constraint> IntSet::eliminate(std::vector<Constraint> cs,
 }
 
 bool IntSet::isEmpty() const {
+  if (!emptyMemo_) emptyMemo_ = emptyByFm();
+  return *emptyMemo_;
+}
+
+bool IntSet::emptyByFm() const {
   selfprof::count(selfprof::Op::IntsetEmptyTests);
   std::vector<Constraint> cs = prune(cs_);
   for (std::size_t remaining = numVars(); remaining > 0; --remaining) {
@@ -371,8 +378,16 @@ IntSet IntSet::project(const std::vector<std::size_t>& keep) const {
 }
 
 std::optional<std::int64_t> IntSet::minOf(const LinExpr& e) const {
-  selfprof::count(selfprof::Op::IntsetBoundQueries);
   POLYAST_CHECK(e.coeffs.size() == numVars(), "minOf dimension mismatch");
+  for (const auto& [expr, answer] : minMemo_)
+    if (expr == e) return answer;
+  std::optional<std::int64_t> answer = minByFm(e);
+  minMemo_.emplace_back(e, answer);
+  return answer;
+}
+
+std::optional<std::int64_t> IntSet::minByFm(const LinExpr& e) const {
+  selfprof::count(selfprof::Op::IntsetBoundQueries);
   // Append t = e, eliminate every original variable, read bounds on t.
   std::vector<Constraint> cs;
   cs.reserve(cs_.size() + 1);

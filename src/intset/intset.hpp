@@ -22,6 +22,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace polyast {
@@ -44,6 +45,7 @@ struct LinExpr {
   static LinExpr constantExpr(std::int64_t c, std::size_t numVars);
   LinExpr operator-(const LinExpr& o) const;
   LinExpr operator+(const LinExpr& o) const;
+  bool operator==(const LinExpr& o) const = default;
 };
 
 class IntSet {
@@ -65,6 +67,8 @@ class IntSet {
 
   /// True if the set has no rational point (hence no integer point).
   /// This is the conservative emptiness test used for dependence existence.
+  /// Memoized: the answer is kept inside the set until the next
+  /// addConstraint, and a copy of the set keeps it.
   bool isEmpty() const;
 
   /// True if the given point satisfies every constraint.
@@ -80,6 +84,8 @@ class IntSet {
   /// rational-relaxation bounds rounded toward the feasible region (ceil for
   /// min, floor for max), which is exact whenever the optimum is attained at
   /// integer points (true for all the loop-bound systems we build).
+  /// minOf is memoized per expression like isEmpty; maxOf(e) is
+  /// minOf(-e), so it shares that memo.
   std::optional<std::int64_t> minOf(const LinExpr& e) const;
   std::optional<std::int64_t> maxOf(const LinExpr& e) const;
 
@@ -100,10 +106,18 @@ class IntSet {
   static std::vector<Constraint> eliminate(std::vector<Constraint> cs,
                                            std::size_t var);
   static void normalize(Constraint& c);
+  /// The uncached queries behind isEmpty / minOf.
+  bool emptyByFm() const;
+  std::optional<std::int64_t> minByFm(const LinExpr& e) const;
   static std::vector<Constraint> prune(std::vector<Constraint> cs);
 
   std::vector<std::string> names_;
   std::vector<Constraint> cs_;
+  // Answers already computed for exactly cs_. The const queries write
+  // them, so one set must not be queried from two threads at once.
+  mutable std::optional<bool> emptyMemo_;
+  mutable std::vector<std::pair<LinExpr, std::optional<std::int64_t>>>
+      minMemo_;
 };
 
 }  // namespace polyast

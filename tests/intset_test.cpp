@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/selfprof.hpp"
 #include "support/error.hpp"
 
 namespace polyast {
@@ -235,6 +236,127 @@ TEST_P(BoundsOracle, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsOracle, ::testing::Range(0, 10));
+
+// ---- query memo -----------------------------------------------------------
+
+std::int64_t selfprofCount(obs::selfprof::Op op) {
+  return obs::selfprof::snapshot()[static_cast<int>(op)];
+}
+
+TEST(IntSetMemo, AddedConstraintChangesTheNextAnswer) {
+  IntSet s = box2(0, 10, 0, 10);
+  LinExpr x = LinExpr::var(0, 2);
+  EXPECT_FALSE(s.isEmpty());
+  EXPECT_EQ(s.minOf(x), 0);
+  EXPECT_EQ(s.maxOf(x), 10);
+  s.addInequality({1, 0}, -3);  // x >= 3
+  EXPECT_FALSE(s.isEmpty());
+  EXPECT_EQ(s.minOf(x), 3);
+  EXPECT_EQ(s.maxOf(x), 10);
+  s.addInequality({1, 0}, -20);  // x >= 20
+  EXPECT_TRUE(s.isEmpty());
+  EXPECT_EQ(s.minOf(x), std::nullopt);
+  EXPECT_EQ(s.maxOf(x), std::nullopt);
+}
+
+TEST(IntSetMemo, CopyAnswersWithoutNewQueries) {
+  using obs::selfprof::Op;
+  IntSet s = box2(1, 4, 2, 6);
+  LinExpr diff = LinExpr::var(1, 2) - LinExpr::var(0, 2);
+  EXPECT_FALSE(s.isEmpty());
+  EXPECT_EQ(s.minOf(diff), -2);
+  EXPECT_EQ(s.maxOf(diff), 5);
+  std::int64_t empties = selfprofCount(Op::IntsetEmptyTests);
+  std::int64_t bounds = selfprofCount(Op::IntsetBoundQueries);
+  std::int64_t elims = selfprofCount(Op::FmEliminations);
+  IntSet copy = s;
+  EXPECT_FALSE(copy.isEmpty());
+  EXPECT_EQ(copy.minOf(diff), -2);
+  EXPECT_EQ(copy.maxOf(diff), 5);
+  EXPECT_EQ(s.minOf(diff), -2);  // the original still answers from memo
+  EXPECT_EQ(selfprofCount(Op::IntsetEmptyTests), empties);
+  EXPECT_EQ(selfprofCount(Op::IntsetBoundQueries), bounds);
+  EXPECT_EQ(selfprofCount(Op::FmEliminations), elims);
+  // A new expression is a new query.
+  EXPECT_EQ(copy.minOf(LinExpr::var(0, 2)), 1);
+  EXPECT_EQ(selfprofCount(Op::IntsetBoundQueries), bounds + 1);
+  // A constraint added to the copy leaves the original's memo alone.
+  copy.addInequality({-1, 0}, 0);  // x <= 0
+  EXPECT_TRUE(copy.isEmpty());
+  EXPECT_FALSE(s.isEmpty());
+  EXPECT_EQ(selfprofCount(Op::IntsetEmptyTests), empties + 1);
+}
+
+/// Exact answers of one set by enumerating its integer points.
+struct Brute {
+  bool empty = true;
+  std::optional<std::int64_t> min, max;
+};
+
+Brute bruteForce(const IntSet& s, const LinExpr& e) {
+  Brute b;
+  s.enumerate([&](const std::vector<std::int64_t>& pt) {
+    std::int64_t v = e.constant;
+    for (std::size_t i = 0; i < pt.size(); ++i) v += e.coeffs[i] * pt[i];
+    b.empty = false;
+    if (!b.min || v < *b.min) b.min = v;
+    if (!b.max || v > *b.max) b.max = v;
+    return true;
+  });
+  return b;
+}
+
+// On boxes the rational answers are exact: emptiness is lo > hi somewhere
+// and every extremum sits on an integer vertex. So memoized answers —
+// the first one computed, the repeat served from the memo, and the ones a
+// copy inherits and then recomputes after a tightening — must all equal
+// enumeration.
+TEST(IntSetMemo, MemoizedAnswersMatchEnumerationOnSeededBoxes) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state](std::int64_t lo, std::int64_t hi) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return lo + static_cast<std::int64_t>((state >> 33) %
+                                          static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  int emptyBoxes = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    std::size_t n = static_cast<std::size_t>(next(1, 3));
+    std::vector<std::string> names;
+    for (std::size_t v = 0; v < n; ++v) names.push_back("x" + std::to_string(v));
+    IntSet s(names);
+    for (std::size_t v = 0; v < n; ++v) {
+      std::int64_t lo = next(-3, 3);
+      s.addBounds(v, lo, lo + next(-1, 4));  // hi < lo makes it empty
+    }
+    LinExpr e;
+    for (std::size_t v = 0; v < n; ++v) e.coeffs.push_back(next(-3, 3));
+    e.constant = next(-5, 5);
+    // Queries first (enumerate itself asks isEmpty), then the repeats.
+    auto check = [&](const IntSet& set, const char* what) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        bool empty = set.isEmpty();
+        auto mn = set.minOf(e);
+        auto mx = set.maxOf(e);
+        Brute want = bruteForce(set, e);
+        EXPECT_EQ(empty, want.empty) << what << " " << set.str();
+        EXPECT_EQ(mn, want.min) << what << " " << set.str();
+        EXPECT_EQ(mx, want.max) << what << " " << set.str();
+      }
+    };
+    check(s, "set");
+    if (s.isEmpty()) ++emptyBoxes;
+    IntSet copy = s;
+    check(copy, "copy");
+    std::size_t v = static_cast<std::size_t>(next(0, static_cast<std::int64_t>(n) - 1));
+    std::vector<std::int64_t> row(n, 0);
+    row[v] = -1;
+    copy.addInequality(row, next(-3, 3));  // x_v <= c
+    check(copy, "tightened copy");
+    check(s, "set after the copy was tightened");
+  }
+  EXPECT_GT(emptyBoxes, 0);
+  EXPECT_LT(emptyBoxes, 240);
+}
 
 }  // namespace
 }  // namespace polyast
