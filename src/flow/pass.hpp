@@ -27,6 +27,7 @@
 #include "exec/interp.hpp"
 #include "ir/ast.hpp"
 #include "obs/metrics.hpp"
+#include "poly/dependence.hpp"
 #include "support/error.hpp"
 
 namespace polyast::flow {
@@ -149,6 +150,12 @@ class PassContext {
   /// point it at a local Registry to observe one run in isolation
   /// (transform::optimize does this to build FlowReport). Never null.
   obs::Registry* metrics = &obs::Registry::global();
+  /// The dependence analysis of the working program, shared by the
+  /// dependence-driven passes (skew stores it, parallelism and tile reuse
+  /// it while the loop structure is unchanged; see poly::DependenceCache).
+  /// PassPipeline::run empties it when the run ends, so it never outlives
+  /// the program whose nodes it points into.
+  poly::DependenceCache dependences;
 
   /// Builds an oracle context for `program` per `verify` (factory or
   /// test-scale parameter defaults, seeded deterministically).

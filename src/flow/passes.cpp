@@ -69,10 +69,14 @@ PassResult AffineTransformPass::run(ir::Program& program, PassContext&) {
   PassResult result;
   poly::ScopOptions sopt;
   sopt.paramMin = paramMin_;
-  poly::Scop scop = poly::extractScop(program, sopt);
+  // Not cached: the pass replaces every node of the program, so no later
+  // pass could reuse this analysis.
+  poly::DependenceAnalysis analysis = poly::analyzeDependences(program, sopt);
+  const poly::Scop& scop = analysis.scop;
   poly::ScheduleMap schedules;
   try {
-    schedules = transform::computeAffineTransform(scop, affine_);
+    schedules =
+        transform::computeAffineTransform(scop, analysis.podg, affine_);
   } catch (const Error& e) {
     if (!fallbackToIdentity_) throw;
     schedules = poly::identitySchedules(scop);
@@ -96,16 +100,17 @@ PassResult AffineTransformPass::run(ir::Program& program, PassContext&) {
   return result;
 }
 
-PassResult SkewPass::run(ir::Program& program, PassContext&) {
+PassResult SkewPass::run(ir::Program& program, PassContext& ctx) {
   PassResult result;
-  result.counters["skews"] = transform::skewForTilability(program, options_);
+  result.counters["skews"] =
+      transform::skewForTilability(program, options_, &ctx.dependences);
   return result;
 }
 
-PassResult ParallelismPass::run(ir::Program& program, PassContext&) {
+PassResult ParallelismPass::run(ir::Program& program, PassContext& ctx) {
   PassResult result;
-  transform::ParallelismStats stats =
-      transform::detectParallelism(program, options_, outermostOnly_);
+  transform::ParallelismStats stats = transform::detectParallelism(
+      program, options_, outermostOnly_, &ctx.dependences);
   result.counters["doall"] = stats.doall;
   result.counters["reduction"] = stats.reduction;
   result.counters["pipeline"] = stats.pipeline;
@@ -114,10 +119,10 @@ PassResult ParallelismPass::run(ir::Program& program, PassContext&) {
   return result;
 }
 
-PassResult TilePass::run(ir::Program& program, PassContext&) {
+PassResult TilePass::run(ir::Program& program, PassContext& ctx) {
   PassResult result;
   result.counters["bands_tiled"] =
-      transform::tileForLocality(program, options_);
+      transform::tileForLocality(program, options_, &ctx.dependences);
   return result;
 }
 

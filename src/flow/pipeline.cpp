@@ -73,6 +73,11 @@ ir::Program PassPipeline::run(const ir::Program& input,
   pipelineSpan.attr("passes",
                     static_cast<std::int64_t>(passes_.size()));
   ir::Program out = input.deepCopy();
+  // However the run ends, drop the dependence analysis of `out`.
+  struct ClearDependences {
+    poly::DependenceCache& cache;
+    ~ClearDependences() { cache.clear(); }
+  } clearDependences{ctx.dependences};
 
   // Reference execution for the inter-pass oracle: run the *input* once;
   // every pass output must reproduce these buffers exactly.

@@ -89,6 +89,42 @@ IntSet jointPairSpace(const Scop& scop, const PolyStmt& src,
 /// Computes all flow/anti/output (and optionally input) dependences.
 PoDG computeDependences(const Scop& scop, bool includeInput = false);
 
+/// A program's SCoP together with its flow/anti/output dependence graph:
+/// what every dependence-driven pass starts from.
+struct DependenceAnalysis {
+  Scop scop;
+  PoDG podg;
+};
+
+/// extractScop + computeDependences, the one helper behind every pass
+/// that needs both.
+DependenceAnalysis analyzeDependences(const ir::Program& program,
+                                      ScopOptions options = {});
+
+/// Keeps the most recent DependenceAnalysis for as long as the analysed
+/// loop structure stands. The key is the program's parameters, the
+/// ScopOptions and every loop and statement in tree order: node identity
+/// plus everything extractScop reads (iterators, bounds, steps, guards,
+/// statement ids and text). Parallel marks and the other loop annotations
+/// are not part of it, so a pass that only sets marks keeps the entry
+/// valid while any structural edit misses. The cached Scop holds the
+/// loop and statement nodes it points into, so their addresses cannot be
+/// reused by other nodes while the entry lives. One cache serves one
+/// pipeline run (flow::PassContext::dependences); it is never global.
+class DependenceCache {
+ public:
+  /// The analysis of `program`, computed by analyzeDependences unless the
+  /// cached one has the same key.
+  const DependenceAnalysis& get(const ir::Program& program,
+                                const ScopOptions& options);
+  /// Drops the cached analysis and the nodes it keeps alive.
+  void clear();
+
+ private:
+  std::string key_;
+  std::optional<DependenceAnalysis> analysis_;
+};
+
 /// The static purity proof behind `Dependence::reduction`: classifies the
 /// self-accumulation dependence of `ps` carried at `level` (>= 1). Returns
 /// `Relaxable` iff the statement is a whitelisted associative/commutative

@@ -27,8 +27,8 @@ namespace {
 /// attempt (Algorithm 3) can be rolled back.
 class AffineScheduler {
  public:
-  AffineScheduler(const Scop& scop, const AffineOptions& opt)
-      : scop_(scop), opt_(opt), podg_(poly::computeDependences(scop)) {
+  AffineScheduler(const Scop& scop, const PoDG& podg, const AffineOptions& opt)
+      : scop_(scop), opt_(opt), podg_(podg) {
     for (const auto& ps : scop.stmts) {
       StmtState s;
       s.ps = &ps;
@@ -946,7 +946,7 @@ class AffineScheduler {
 
   const Scop& scop_;
   AffineOptions opt_;
-  PoDG podg_;
+  const PoDG& podg_;
   std::map<int, StmtState> st_;
   std::vector<ActiveDep> deps_;
 };
@@ -955,7 +955,13 @@ class AffineScheduler {
 
 poly::ScheduleMap computeAffineTransform(const poly::Scop& scop,
                                          const AffineOptions& options) {
-  return AffineScheduler(scop, options).run();
+  return computeAffineTransform(scop, poly::computeDependences(scop), options);
+}
+
+poly::ScheduleMap computeAffineTransform(const poly::Scop& scop,
+                                         const poly::PoDG& podg,
+                                         const AffineOptions& options) {
+  return AffineScheduler(scop, podg, options).run();
 }
 
 }  // namespace polyast::transform

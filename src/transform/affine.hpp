@@ -56,5 +56,10 @@ struct AffineOptions {
 /// are guaranteed legal (verified against the PoDG before returning).
 poly::ScheduleMap computeAffineTransform(const poly::Scop& scop,
                                          const AffineOptions& options = {});
+/// Same, over dependences the caller already computed for `scop`
+/// (poly::analyzeDependences).
+poly::ScheduleMap computeAffineTransform(const poly::Scop& scop,
+                                         const poly::PoDG& podg,
+                                         const AffineOptions& options = {});
 
 }  // namespace polyast::transform

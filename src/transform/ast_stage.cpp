@@ -131,15 +131,30 @@ std::vector<const Dependence*> depsUnder(const Scop& scop, const PoDG& podg,
   return out;
 }
 
+/// The dependence analysis of `program` from `deps`, or from `local` when
+/// the caller passed no cache.
+const poly::DependenceAnalysis& analysisOf(const ir::Program& program,
+                                           const AstOptions& options,
+                                           poly::DependenceCache* deps,
+                                           poly::DependenceCache& local) {
+  poly::ScopOptions sopt;
+  sopt.paramMin = options.paramMin;
+  return (deps ? *deps : local).get(program, sopt);
+}
+
 }  // namespace
 
-int skewForTilability(ir::Program& program, const AstOptions& options) {
+int skewForTilability(ir::Program& program, const AstOptions& options,
+                      poly::DependenceCache* deps) {
+  poly::DependenceCache local;
   int applied = 0;
   for (int iteration = 0; iteration < 16; ++iteration) {
-    poly::ScopOptions sopt;
-    sopt.paramMin = options.paramMin;
-    Scop scop = poly::extractScop(program, sopt);
-    PoDG podg = poly::computeDependences(scop);
+    // An iteration that skews nothing leaves the analysis of the final
+    // program in the cache for the passes after this one.
+    const poly::DependenceAnalysis& analysis =
+        analysisOf(program, options, deps, local);
+    const Scop& scop = analysis.scop;
+    const PoDG& podg = analysis.podg;
     bool changed = false;
     for (const auto& chain : collectChains(program)) {
       if (chain.size() < 2) continue;
@@ -153,7 +168,6 @@ int skewForTilability(ir::Program& program, const AstOptions& options) {
           auto lk = commonLevelOf(scop, *d, chain[k].get());
           if (!lk) continue;
           auto mn = d->poly.minOf(distExpr(*d, *lk));
-          if (d->poly.isEmpty()) continue;
           if (!mn) {
             unbounded = true;
             break;
@@ -181,7 +195,6 @@ int skewForTilability(ir::Program& program, const AstOptions& options) {
                 obj.coeffs[i] += f[l] * outer.coeffs[i];
             }
             auto mn = d->poly.minOf(obj);
-            if (d->poly.isEmpty()) continue;
             if (!mn || *mn < 0) return false;
           }
           return true;
@@ -216,11 +229,13 @@ int skewForTilability(ir::Program& program, const AstOptions& options) {
 
 ParallelismStats detectParallelism(ir::Program& program,
                                    const AstOptions& options,
-                                   bool outermostOnly) {
-  poly::ScopOptions sopt;
-  sopt.paramMin = options.paramMin;
-  Scop scop = poly::extractScop(program, sopt);
-  PoDG podg = poly::computeDependences(scop);
+                                   bool outermostOnly,
+                                   poly::DependenceCache* deps) {
+  poly::DependenceCache local;
+  const poly::DependenceAnalysis& analysis =
+      analysisOf(program, options, deps, local);
+  const Scop& scop = analysis.scop;
+  const PoDG& podg = analysis.podg;
 
   forEachLoop(program, [&](const LoopPtr& loop,
                            const std::vector<LoopPtr>& ancestors) {
@@ -431,11 +446,15 @@ bool relaxBandBounds(const std::vector<LoopPtr>& band,
 
 }  // namespace
 
-int tileForLocality(ir::Program& program, const AstOptions& options) {
-  poly::ScopOptions sopt;
-  sopt.paramMin = options.paramMin;
-  Scop scop = poly::extractScop(program, sopt);
-  PoDG podg = poly::computeDependences(scop);
+int tileForLocality(ir::Program& program, const AstOptions& options,
+                    poly::DependenceCache* deps) {
+  // Every band is judged on the analysis of the program as it stood
+  // before the first band was tiled.
+  poly::DependenceCache local;
+  const poly::DependenceAnalysis& analysis =
+      analysisOf(program, options, deps, local);
+  const Scop& scop = analysis.scop;
+  const PoDG& podg = analysis.podg;
 
   int tiled = 0;
   for (const auto& chain : collectChains(program)) {
@@ -447,7 +466,6 @@ int tileForLocality(ir::Program& program, const AstOptions& options) {
         auto lk = commonLevelOf(scop, *d, l.get());
         if (!lk) continue;
         auto mn = d->poly.minOf(distExpr(*d, *lk));
-        if (d->poly.isEmpty()) continue;
         if (!mn || *mn < 0) return false;
       }
       return true;
@@ -485,7 +503,6 @@ int tileForLocality(ir::Program& program, const AstOptions& options) {
         auto lk = commonLevelOf(scop, *d, l.get());
         if (!lk) continue;
         auto mx = d->poly.maxOf(distExpr(*d, *lk));
-        if (d->poly.isEmpty()) continue;
         if (!mx || *mx >= 1) carriesDeps = true;
       }
       t->step = carriesDeps ? options.timeTileSize : options.tileSize;

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "ir/ast.hpp"
-#include "poly/scop.hpp"
+#include "poly/dependence.hpp"
 
 namespace polyast::transform {
 
@@ -45,10 +45,17 @@ struct AstOptions {
   bool simd = true;
 };
 
+// The dependence-driven passes below take an optional DependenceCache.
+// Within a pipeline run it is flow::PassContext::dependences: skewing
+// leaves the analysis of its final program there, and parallelism
+// detection and tiling reuse it while the loop structure is unchanged.
+// Without a cache each call analyses the program afresh.
+
 /// Loop skewing to make dependence distances non-negative inside maximal
 /// single-chain loop nests, enabling rectangular tiling. Returns the number
 /// of skews applied.
-int skewForTilability(ir::Program& program, const AstOptions& options = {});
+int skewForTilability(ir::Program& program, const AstOptions& options = {},
+                      poly::DependenceCache* deps = nullptr);
 
 /// Parallelism-detection outcome: loop marks by kind as they stand after
 /// detection (post outermost-only clearing when that filter is on).
@@ -69,13 +76,15 @@ struct ParallelismStats {
 /// Returns the counts of annotated loops by parallelism kind.
 ParallelismStats detectParallelism(ir::Program& program,
                                    const AstOptions& options = {},
-                                   bool outermostOnly = true);
+                                   bool outermostOnly = true,
+                                   poly::DependenceCache* deps = nullptr);
 
 /// Syntactic rectangular tiling of every fully-permutable band of >= 2
 /// loops whose bounds do not depend on band-internal iterators. Tile loops
 /// are created outside the point loops, inherit parallel annotations, and
 /// are marked isTileLoop. Returns the number of bands tiled.
-int tileForLocality(ir::Program& program, const AstOptions& options = {});
+int tileForLocality(ir::Program& program, const AstOptions& options = {},
+                    poly::DependenceCache* deps = nullptr);
 
 /// Register tiling (Sec. IV-C): unrolls the innermost (and optionally the
 /// second-innermost) non-tile loops by the configured factors, guarding

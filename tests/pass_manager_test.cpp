@@ -12,6 +12,7 @@
 #include "baseline/pluto.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
+#include "obs/selfprof.hpp"
 #include "test_util.hpp"
 #include "transform/flow.hpp"
 
@@ -220,6 +221,88 @@ TEST(PassContext, DumpAfterSelectedPasses) {
   EXPECT_NE(text.find("after pass 'skew'"), std::string::npos);
   EXPECT_NE(text.find("after pass 'tile'"), std::string::npos);
   EXPECT_EQ(text.find("after pass 'affine'"), std::string::npos);
+}
+
+// ---- the per-run dependence analysis (PassContext::dependences) ----------
+
+std::int64_t depTests() {
+  return obs::selfprof::snapshot()[static_cast<int>(
+      obs::selfprof::Op::DepTests)];
+}
+
+std::shared_ptr<ir::Loop> outermostLoop(const ir::Program& p) {
+  for (const auto& n : p.root->children)
+    if (n->kind == ir::Node::Kind::Loop)
+      return std::static_pointer_cast<ir::Loop>(n);
+  return nullptr;
+}
+
+TEST(PassContext, DependenceAnalysisIsReusedUntilTheLoopStructureChanges) {
+  ir::Program p = kernels::buildKernel("seidel-2d");
+  PassContext ctx;
+  poly::ScopOptions sopt;
+  std::int64_t before = depTests();
+  ctx.dependences.get(p, sopt);
+  EXPECT_GT(depTests(), before);
+
+  // Skewing changes the structure, so it recomputes; its last, unchanged
+  // iteration leaves the analysis of the skewed program behind.
+  before = depTests();
+  PassResult skew = SkewPass(transform::AstOptions{}).run(p, ctx);
+  ASSERT_GT(skew.counters["skews"], 0);
+  EXPECT_GT(depTests(), before);
+
+  // Marks only: parallelism detection runs on the stored analysis.
+  before = depTests();
+  PassResult par = ParallelismPass(transform::AstOptions{}).run(p, ctx);
+  EXPECT_EQ(depTests(), before);
+  EXPECT_GT(par.counters["pipeline"] + par.counters["doall"], 0);
+  std::shared_ptr<ir::Loop> outer = outermostLoop(p);
+  ASSERT_NE(outer, nullptr);
+  outer->parallel = ir::ParallelKind::Doall;
+  outer->simdSafe = true;
+  ctx.dependences.get(p, sopt);
+  EXPECT_EQ(depTests(), before);
+
+  // A structural edit misses, and so does another paramMin.
+  outer->upper.parts.front() = outer->upper.parts.front() - ir::AffExpr(1);
+  ctx.dependences.get(p, sopt);
+  EXPECT_GT(depTests(), before);
+  before = depTests();
+  ctx.dependences.get(p, sopt);
+  EXPECT_EQ(depTests(), before);
+  poly::ScopOptions otherMin;
+  otherMin.paramMin = sopt.paramMin + 1;
+  ctx.dependences.get(p, otherMin);
+  EXPECT_GT(depTests(), before);
+}
+
+TEST(PassContext, DependenceAnalysisOfACopyPointsIntoTheCopy) {
+  ir::Program p = kernels::buildKernel("gemm");
+  PassContext ctx;
+  poly::ScopOptions sopt;
+  ctx.dependences.get(p, sopt);
+  // Same text, other nodes: the analysis must be the copy's own.
+  ir::Program copy = p.deepCopy();
+  std::int64_t before = depTests();
+  const poly::DependenceAnalysis& a = ctx.dependences.get(copy, sopt);
+  EXPECT_GT(depTests(), before);
+  EXPECT_EQ(a.scop.program, &copy);
+  ASSERT_FALSE(a.scop.stmts.empty());
+  EXPECT_EQ(a.scop.stmts.front().stmt, copy.statements().front());
+}
+
+TEST(PassContext, PipelineRunLeavesNoDependenceAnalysisBehind) {
+  // polyast-notile ends with parallelism detection, which leaves the loop
+  // structure as skewing analysed it; only the end-of-run clear makes the
+  // next lookup recompute.
+  ir::Program p = kernels::buildKernel("jacobi-2d-imper");
+  PassContext ctx;
+  ir::Program out = makePipeline("polyast-notile").run(p, ctx);
+  std::int64_t before = depTests();
+  poly::ScopOptions sopt;
+  ctx.dependences.get(out, sopt);
+  EXPECT_GT(depTests(), before);
 }
 
 TEST(AffineTransformPass, SurfacesFallbackReasonInsteadOfSwallowingIt) {
