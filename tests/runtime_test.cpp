@@ -158,7 +158,7 @@ TEST(SpinBackoff, PipelineCountsSpinIterations) {
   SyncStats stats =
       pipeline2D(pool, 8, 64, [&](std::int64_t r, std::int64_t) {
         volatile std::uint64_t acc = 0;
-        for (std::int64_t i = 0; i < (r == 0 ? 20000 : 10); ++i) acc += i;
+        for (std::int64_t i = 0; i < (r == 0 ? 20000 : 10); ++i) acc = acc + i;
         sink.fetch_add(acc, std::memory_order_relaxed);
       });
   // A wait counts only after its first backoff pause, so every counted
@@ -475,7 +475,7 @@ TEST(StressPipeline3D, UnbalancedCellWorkKeepsOrder) {
                volatile std::int64_t acc = 0;
                for (std::int64_t i = 0; i < ((p + 2 * r + 3 * c) % 5) * 400;
                     ++i)
-                 acc += i;
+                 acc = acc + i;
                if (p > 0 && !done[idx(p - 1, r, c)].load()) ++violations;
                if (r > 0 && !done[idx(p, r - 1, c)].load()) ++violations;
                if (c > 0 && !done[idx(p, r, c - 1)].load()) ++violations;
@@ -495,7 +495,7 @@ TEST(Pipeline3D, WaitHistogramCountsEpisodesNotPauses) {
   SyncStats stats = pipeline3D(
       pool, 4, 4, 16, [&](std::int64_t p, std::int64_t, std::int64_t) {
         volatile std::uint64_t acc = 0;
-        for (std::int64_t i = 0; i < (p == 0 ? 20000 : 10); ++i) acc += i;
+        for (std::int64_t i = 0; i < (p == 0 ? 20000 : 10); ++i) acc = acc + i;
         sink.fetch_add(acc, std::memory_order_relaxed);
       });
   if (stats.pointToPointWaits > 0) {
