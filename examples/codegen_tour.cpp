@@ -7,11 +7,10 @@
 //   $ ./examples/codegen_tour [kernel-name]
 #include <iostream>
 
-#include "baseline/pluto.hpp"
+#include "flow/presets.hpp"
 #include "kernels/polybench.hpp"
 #include "poly/codegen.hpp"
 #include "transform/affine.hpp"
-#include "transform/flow.hpp"
 
 using namespace polyast;
 
@@ -28,12 +27,15 @@ int main(int argc, char** argv) {
   std::cout << "statements: " << scop.stmts.size()
             << ", dependence polyhedra: " << podg.deps.size() << "\n\n";
 
-  // Fig. 2 behaviour: the Pluto-like baseline with maximal fusion.
-  baseline::PlutoOptions pocc;
-  pocc.fuse = baseline::PlutoOptions::Fuse::Max;
-  pocc.registerTiling = false;
+  // Fig. 2 behaviour: the Pluto-like baseline with maximal fusion. Unroll
+  // factors of 1 and no SIMD tagging leave its register-tile pass without
+  // effect, so the tiled structure shows as is.
+  flow::PipelineOptions pocc;
   pocc.ast.tileSize = 32;
-  ir::Program figure2 = baseline::plutoOptimize(input, pocc);
+  pocc.ast.unrollInner = 1;
+  pocc.ast.unrollOuter = 1;
+  pocc.ast.simd = false;
+  ir::Program figure2 = flow::makePipeline("pocc-maxfuse", pocc).run(input);
   std::cout << "=== Fig. 2 — maximal fusion baseline ===\n"
             << ir::printProgram(figure2) << "\n";
 
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
               << sched.str() << "\n";
 
   // And the full flow with the AST stage on top.
-  ir::Program full = transform::optimize(input);
+  ir::Program full = flow::makePipeline("polyast").run(input);
   std::cout << "\n=== full poly+AST flow (tiled + register-tiled) ===\n"
             << ir::printProgram(full);
   return 0;

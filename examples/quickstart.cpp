@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "exec/interp.hpp"
+#include "flow/presets.hpp"
 #include "ir/builder.hpp"
-#include "transform/flow.hpp"
 
 using namespace polyast;
 
@@ -35,19 +35,24 @@ int main() {
 
   std::cout << "=== input program ===\n" << ir::printProgram(program);
 
-  // Run the end-to-end flow: DL-guided affine transformation, skewing,
-  // parallelism detection, tiling, register tiling.
-  transform::FlowOptions options;
+  // Run the end-to-end flow, the "polyast" preset: DL-guided affine
+  // transformation, skewing, parallelism detection, tiling, register
+  // tiling. The context collects each pass's report.
+  flow::PipelineOptions options;
   options.ast.tileSize = 32;
-  transform::FlowReport report;
-  ir::Program optimized = transform::optimize(program, options, &report);
+  flow::PassContext ctx;
+  ir::Program optimized =
+      flow::makePipeline("polyast", options).run(program, ctx);
+  const flow::PipelineReport& report = ctx.report;
 
   std::cout << "\n=== optimized program ===\n" << ir::printProgram(optimized);
   std::cout << "\naffine stage: "
-            << (report.affineStageSucceeded ? "ok" : "fell back to identity")
-            << ", skews: " << report.skewsApplied
-            << ", tiled bands: " << report.bandsTiled
-            << ", unrolled loops: " << report.loopsUnrolled << "\n";
+            << (report.find("affine")->succeeded ? "ok"
+                                                 : "fell back to identity")
+            << ", skews: " << report.counter("skews")
+            << ", tiled bands: " << report.counter("bands_tiled")
+            << ", unrolled loops: " << report.counter("loops_unrolled")
+            << "\n";
 
   // Differential validation with the interpreter (small sizes).
   exec::Context before(program, {{"N", 24}});

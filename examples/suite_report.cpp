@@ -1,7 +1,7 @@
-// Suite report: runs the poly+AST flow and the Pluto-like baseline over the
-// entire PolyBench/C 3.2 suite (Table II) and prints, per kernel, what each
-// optimizer did — fusion structure, skews, tiled bands, detected
-// parallelism — plus an interpreter-validated correctness verdict.
+// Suite report: runs the poly+AST flow (the "polyast" preset) over the
+// entire PolyBench/C 3.2 suite (Table II) and prints, per kernel, what it
+// did — skews, tiled bands, unrolled loops, detected parallelism — plus
+// an interpreter-validated correctness verdict.
 //
 //   $ ./examples/suite_report           # text table
 //   $ ./examples/suite_report --json    # machine-readable (obs JsonWriter)
@@ -10,32 +10,31 @@
 #include <iostream>
 #include <sstream>
 
-#include "baseline/pluto.hpp"
 #include "exec/interp.hpp"
+#include "flow/presets.hpp"
 #include "kernels/polybench.hpp"
 #include "obs/json.hpp"
-#include "transform/flow.hpp"
 
 using namespace polyast;
 
 namespace {
 
-/// Formats the flow's parallelism-detection outcome, e.g. "doall x2" or
-/// "pipeline" (previously reconstructed by walking the output AST; the
-/// report now carries the counts directly).
-std::string parallelismSummary(const transform::ParallelismStats& s) {
+/// Formats the flow's parallelism-detection outcome from the parallelism
+/// pass's counters, e.g. "doall x2" or "pipeline".
+std::string parallelismSummary(const flow::PipelineReport& r) {
   std::ostringstream out;
-  auto item = [&](const char* name, int count) {
+  auto item = [&](const char* name, const char* counter) {
+    std::int64_t count = r.counter(counter);
     if (count == 0) return;
     if (out.tellp() > 0) out << "+";
     out << name;
     if (count > 1) out << " x" << count;
   };
-  item("doall", s.doall);
-  item("red", s.reduction);
-  item("pipeline", s.pipeline);
-  item("red-pipe", s.reductionPipeline);
-  return s.total() == 0 ? "seq" : out.str();
+  item("doall", "doall");
+  item("red", "reduction");
+  item("pipeline", "pipeline");
+  item("red-pipe", "reduction_pipeline");
+  return out.tellp() == 0 ? "seq" : out.str();
 }
 
 bool validate(const ir::Program& a, const ir::Program& b) {
@@ -51,7 +50,7 @@ bool validate(const ir::Program& a, const ir::Program& b) {
 struct Row {
   std::string kernel;
   std::size_t stmts = 0;
-  transform::FlowReport report;
+  flow::PipelineReport report;
   bool verified = false;
 };
 
@@ -63,10 +62,10 @@ void printTable(const std::vector<Row>& rows, int failures) {
             << std::string(78, '-') << "\n";
   for (const auto& r : rows)
     std::cout << std::setw(18) << r.kernel << std::setw(7) << r.stmts
-              << std::setw(8) << r.report.skewsApplied << std::setw(7)
-              << r.report.bandsTiled << std::setw(9)
-              << r.report.loopsUnrolled << std::setw(22)
-              << parallelismSummary(r.report.parallelism)
+              << std::setw(8) << r.report.counter("skews") << std::setw(7)
+              << r.report.counter("bands_tiled") << std::setw(9)
+              << r.report.counter("loops_unrolled") << std::setw(22)
+              << parallelismSummary(r.report)
               << (r.verified ? "yes" : "NO") << "\n";
   std::cout << std::string(78, '-') << "\n"
             << (failures == 0 ? "all kernels verified against the "
@@ -83,17 +82,15 @@ void printJson(const std::vector<Row>& rows, int failures) {
     w.beginObject();
     w.key("name").value(r.kernel);
     w.key("stmts").value(static_cast<std::uint64_t>(r.stmts));
-    w.key("skews").value(r.report.skewsApplied);
-    w.key("bands_tiled").value(r.report.bandsTiled);
-    w.key("loops_unrolled").value(r.report.loopsUnrolled);
+    for (const char* counter : {"skews", "bands_tiled", "loops_unrolled"})
+      w.key(counter).value(r.report.counter(counter));
     w.key("parallelism").beginObject();
-    w.key("doall").value(r.report.parallelism.doall);
-    w.key("reduction").value(r.report.parallelism.reduction);
-    w.key("pipeline").value(r.report.parallelism.pipeline);
-    w.key("reduction_pipeline")
-        .value(r.report.parallelism.reductionPipeline);
+    for (const char* counter :
+         {"doall", "reduction", "pipeline", "reduction_pipeline"})
+      w.key(counter).value(r.report.counter(counter));
     w.endObject();
-    w.key("affine_stage_succeeded").value(r.report.affineStageSucceeded);
+    w.key("affine_stage_succeeded")
+        .value(r.report.find("affine")->succeeded);
     w.key("verified").value(r.verified);
     w.endObject();
   }
@@ -114,10 +111,13 @@ int main(int argc, char** argv) {
     r.kernel = k.name;
     ir::Program input = k.build();
     r.stmts = input.statements().size();
-    transform::FlowOptions opt;
+    flow::PipelineOptions opt;
     opt.ast.tileSize = 8;
     opt.ast.timeTileSize = 3;
-    ir::Program optimized = transform::optimize(input, opt, &r.report);
+    flow::PassContext ctx;
+    ir::Program optimized =
+        flow::makePipeline("polyast", opt).run(input, ctx);
+    r.report = std::move(ctx.report);
     r.verified = validate(input, optimized);
     if (!r.verified) ++failures;
     rows.push_back(std::move(r));

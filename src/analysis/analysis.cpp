@@ -104,7 +104,8 @@ void AnalysisSession::captureBaseline(ir::Program& program) {
 }
 
 void AnalysisSession::analyze(ir::Program& program,
-                              const std::string& afterPass) {
+                              const std::string& afterPass,
+                              poly::DependenceCache& deps) {
   obs::Span span("analysis.run", "analysis");
   span.attr("after", afterPass);
   metrics_->counter("analysis.runs").add();
@@ -132,20 +133,29 @@ void AnalysisSession::analyze(ir::Program& program,
       if (l->parallel != ir::ParallelKind::None) hasMarks = true;
   });
 
-  std::optional<poly::Scop> scop;
-  std::optional<poly::PoDG> podg;
+  // Without marks only the SCoP is needed; with them the analysis comes
+  // from `deps`, which hands back the one already computed for this loop
+  // structure when a pass only changed marks.
+  std::optional<poly::Scop> extracted;
+  const poly::Scop* scop = nullptr;
+  const poly::PoDG* podg = nullptr;
   try {
     poly::ScopOptions sopt;
     sopt.paramMin = options_.paramMin;
-    scop = poly::extractScop(program, sopt);
-    // Dependence re-extraction can also trip over a non-affine escape
-    // (extraction itself never maps access subscripts).
-    if ((options_.races || options_.reductions) && hasMarks)
-      podg = poly::computeDependences(*scop);
+    if ((options_.races || options_.reductions) && hasMarks) {
+      // Dependence re-extraction can also trip over a non-affine escape
+      // (extraction itself never maps access subscripts).
+      const poly::DependenceAnalysis& a = deps.get(program, sopt);
+      scop = &a.scop;
+      podg = &a.podg;
+    } else {
+      extracted = poly::extractScop(program, sopt);
+      scop = &*extracted;
+    }
   } catch (const Error& e) {
     // Non-affine escape (or malformed loop): the program left the class
     // the analyses can reason about — itself a well-formedness finding.
-    scop.reset();
+    scop = nullptr;
     Diagnostic d;
     d.severity = Severity::Error;
     d.analysis = "bounds";
@@ -158,8 +168,8 @@ void AnalysisSession::analyze(ir::Program& program,
   if (scop) {
     AnalysisInput in;
     in.program = &program;
-    in.scop = &*scop;
-    in.podg = podg ? &*podg : nullptr;
+    in.scop = scop;
+    in.podg = podg;
     in.baselineScop = baselineScop_ ? &*baselineScop_ : nullptr;
     in.baselinePodg = baselinePodg_ ? &*baselinePodg_ : nullptr;
     in.afterPass = afterPass;

@@ -113,7 +113,11 @@ class AnalysisSession {
   /// pass). The first call stamps ir::Stmt::origin identity maps on the
   /// live program and snapshots it as the legality baseline. Re-analyzing
   /// a textually identical program is skipped (same text, same verdicts).
-  void analyze(ir::Program& program, const std::string& afterPass);
+  /// The race and reduction analyses take the dependence graph of
+  /// `program` from `deps` — in a pipeline the PassContext's cache, so a
+  /// pass that only set parallel marks costs no new dependence analysis.
+  void analyze(ir::Program& program, const std::string& afterPass,
+               poly::DependenceCache& deps);
 
   DiagnosticEngine& engine() { return engine_; }
   const DiagnosticEngine& engine() const { return engine_; }

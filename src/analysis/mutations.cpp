@@ -153,10 +153,11 @@ std::vector<MutationOutcome> runMutationCorpus(
     oc.mutation = &m;
     ir::Program prog = buildKernel(m.kernel);
     AnalysisSession session;
-    session.analyze(prog, "<input>");
+    poly::DependenceCache deps;
+    session.analyze(prog, "<input>", deps);
     oc.cleanBefore = session.engine().errors() == 0;
     m.apply(prog);
-    session.analyze(prog, "mutant:" + m.name);
+    session.analyze(prog, "mutant:" + m.name, deps);
     for (const auto& d : session.engine().diagnostics()) {
       if (d.severity != Severity::Error) continue;
       if (d.analysis == m.expectAnalysis && d.code == m.expectCode) {

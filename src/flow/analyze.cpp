@@ -9,11 +9,10 @@ AnalyzePass::AnalyzePass(std::shared_ptr<analysis::AnalysisSession> session,
     : session_(std::move(session)), point_(std::move(point)) {}
 
 PassResult AnalyzePass::run(ir::Program& program, PassContext& ctx) {
-  (void)ctx;
   const auto& engine = session_->engine();
   std::size_t errors0 = engine.errors();
   std::size_t warnings0 = engine.warnings();
-  session_->analyze(program, point_);
+  session_->analyze(program, point_, ctx.dependences);
 
   PassResult r;
   r.counters["diag_errors"] =

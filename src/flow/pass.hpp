@@ -8,7 +8,7 @@
 // of passes and fills the PassContext with per-pass instrumentation:
 //   * wall-clock timing per pass,
 //   * named stage counters (skews applied, bands tiled, parallel loops
-//     found by kind, ...), generalizing the old transform::FlowReport,
+//     found by kind, ...),
 //   * optional IR / C dumps after selected passes,
 //   * an inter-pass semantic verification mode that runs the src/exec
 //     interpreter oracle on test-scale parameters after every pass and
@@ -147,8 +147,8 @@ class PassContext {
   /// (`flow.<pass>.runs` / `flow.<pass>.fallbacks` plus the
   /// `flow.<pass>.fallback_reason` note), and oracle outcomes
   /// (`flow.verify.breaks`). Defaults to the process-wide registry;
-  /// point it at a local Registry to observe one run in isolation
-  /// (transform::optimize does this to build FlowReport). Never null.
+  /// point it at a local Registry to observe one run in isolation.
+  /// Never null.
   obs::Registry* metrics = &obs::Registry::global();
   /// The dependence analysis of the working program, shared by the
   /// dependence-driven passes (skew stores it, parallelism and tile reuse

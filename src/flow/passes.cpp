@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <set>
 
 #include "dl/dl_model.hpp"
@@ -10,6 +11,7 @@
 
 namespace polyast::flow {
 
+using ir::AffExpr;
 using ir::Block;
 using ir::Loop;
 using ir::Node;
@@ -63,7 +65,69 @@ void collectStmts(const NodePtr& node,
   }
 }
 
+void addGuardToStmts(const NodePtr& node, const AffExpr& guard) {
+  switch (node->kind) {
+    case Node::Kind::Block:
+      for (const auto& c : std::static_pointer_cast<Block>(node)->children)
+        addGuardToStmts(c, guard);
+      break;
+    case Node::Kind::Loop:
+      addGuardToStmts(std::static_pointer_cast<Loop>(node)->body, guard);
+      break;
+    case Node::Kind::Stmt:
+      std::static_pointer_cast<ir::Stmt>(node)->guards.push_back(guard);
+      break;
+  }
+}
+
 }  // namespace
+
+bool wavefrontTiles(ir::Program& program, const LoopPtr& t1,
+                    const LoopPtr& t2) {
+  if (!t1->lower.isSingle() || !t1->upper.isSingle() ||
+      !t2->lower.isSingle() || !t2->upper.isSingle())
+    return false;
+  auto wave = std::make_shared<Loop>();
+  wave->iter = "w_" + t1->iter;
+  wave->lower = ir::Bound(t1->lower.single() + t2->lower.single());
+  wave->upper = ir::Bound(t1->upper.single() + t2->upper.single() -
+                          AffExpr(1));
+  wave->step = std::gcd(t1->step, t2->step);
+  wave->parallel = ParallelKind::None;
+  wave->isTileLoop = true;
+
+  // Each statement under t2 executes only on its own diagonal:
+  // t1 + t2 == wave.
+  AffExpr diag = AffExpr::term(t1->iter) + AffExpr::term(t2->iter) -
+                 AffExpr::term(wave->iter);
+  addGuardToStmts(t2->body, diag);
+  addGuardToStmts(t2->body, diag * -1);
+
+  // Splice the wave loop where t1 was.
+  std::function<bool(const NodePtr&)> splice = [&](const NodePtr& n) {
+    if (n->kind == Node::Kind::Block) {
+      auto b = std::static_pointer_cast<Block>(n);
+      for (auto& c : b->children) {
+        if (c == t1) {
+          c = wave;
+          return true;
+        }
+        if (splice(c)) return true;
+      }
+      return false;
+    }
+    if (n->kind == Node::Kind::Loop)
+      return splice(std::static_pointer_cast<Loop>(n)->body);
+    return false;
+  };
+  if (!splice(program.root)) return false;
+  wave->body->children.push_back(t1);
+  t1->parallel = ParallelKind::Doall;
+  t1->pipelineDepth = 0;
+  t2->parallel = ParallelKind::None;
+  t2->pipelineDepth = 0;
+  return true;
+}
 
 PassResult AffineTransformPass::run(ir::Program& program, PassContext&) {
   PassResult result;
@@ -78,7 +142,6 @@ PassResult AffineTransformPass::run(ir::Program& program, PassContext&) {
     schedules =
         transform::computeAffineTransform(scop, analysis.podg, affine_);
   } catch (const Error& e) {
-    if (!fallbackToIdentity_) throw;
     schedules = poly::identitySchedules(scop);
     result.succeeded = false;
     result.note = e.what();
@@ -89,7 +152,6 @@ PassResult AffineTransformPass::run(ir::Program& program, PassContext&) {
   } catch (const Error& e) {
     // The scheduler guards against codegen-incompatible fusions, but keep
     // the flow total: fall back to the original order.
-    if (!fallbackToIdentity_) throw;
     schedules = poly::identitySchedules(scop);
     out = poly::applySchedules(scop, schedules);
     result.succeeded = false;
@@ -147,7 +209,7 @@ PassResult WavefrontPass::run(ir::Program& program, PassContext&) {
     if (child && child->isTileLoop) pipelinePairs.push_back({l, child});
   });
   for (auto& [t1, t2] : pipelinePairs)
-    if (baseline::wavefrontTiles(program, t1, t2)) ++wavefronts;
+    if (wavefrontTiles(program, t1, t2)) ++wavefronts;
   // Any leftover pipeline marks degrade to sequential (doall-only model).
   forEachLoop(program.root, [&](const LoopPtr& l) {
     if (l->parallel == ParallelKind::Pipeline ||

@@ -14,7 +14,8 @@
 // IntraTileVectorizePass is the `pocc vect` intra-tile permutation.
 #pragma once
 
-#include "baseline/pluto.hpp"
+#include <memory>
+
 #include "flow/pass.hpp"
 #include "transform/affine.hpp"
 #include "transform/ast_stage.hpp"
@@ -23,17 +24,13 @@ namespace polyast::flow {
 
 /// Stage 1: cache-aware affine transformation (Sec. III). Extracts the
 /// SCoP, runs Algorithms 2-5, and regenerates the program from the chosen
-/// schedules. With `fallbackToIdentity`, scheduler or codegen failures
-/// fall back to the original order — the pass then reports
-/// succeeded = false and surfaces the error message in the note (the old
-/// flow silently discarded it).
+/// schedules. The flow is total: scheduler or codegen failures fall back
+/// to the original order — the pass then reports succeeded = false and
+/// surfaces the error message in the note.
 class AffineTransformPass final : public Pass {
  public:
-  AffineTransformPass(transform::AffineOptions affine, std::int64_t paramMin,
-                      bool fallbackToIdentity)
-      : affine_(affine),
-        paramMin_(paramMin),
-        fallbackToIdentity_(fallbackToIdentity) {}
+  AffineTransformPass(transform::AffineOptions affine, std::int64_t paramMin)
+      : affine_(affine), paramMin_(paramMin) {}
   const std::string& name() const override { return name_; }
   PassResult run(ir::Program& program, PassContext& ctx) override;
 
@@ -41,7 +38,6 @@ class AffineTransformPass final : public Pass {
   inline static const std::string name_ = "affine";
   transform::AffineOptions affine_;
   std::int64_t paramMin_;
-  bool fallbackToIdentity_;
 };
 
 /// Stage 2: loop skewing for tilability (Sec. IV-B). Counter: "skews".
@@ -100,8 +96,17 @@ class RegisterTilePass final : public Pass {
   transform::AstOptions options_;
 };
 
+/// Converts a loop pair (outer sequential tile loop + chained inner tile
+/// loop with forward dependences) into a wavefront: a sequential wave loop
+/// scans diagonals and the original outer loop becomes doall, with the
+/// inner tile fixed as wave - outer (kept exact through per-statement
+/// guards). Returns true if applied. WavefrontPass's primitive, exposed
+/// for tests.
+bool wavefrontTiles(ir::Program& program, const std::shared_ptr<ir::Loop>& t1,
+                    const std::shared_ptr<ir::Loop>& t2);
+
 /// Baseline: converts chained pipeline-parallel tile-loop pairs into
-/// wavefront doall (baseline::wavefrontTiles) and degrades every leftover
+/// wavefront doall (wavefrontTiles) and degrades every leftover
 /// pipeline/reduction mark to sequential — the doall-only model of the
 /// Pluto comparator. Counter: "wavefronts".
 class WavefrontPass final : public Pass {

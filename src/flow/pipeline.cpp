@@ -21,9 +21,8 @@ double msSince(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Mirrors one executed pass into the metrics registry — the single write
-/// site both PipelineReport and every registry consumer (FlowReport,
-/// `--metrics-out`, the bench artifacts) observe, so the two reporting
-/// paths cannot drift.
+/// site every registry consumer (`--metrics-out`, the bench artifacts)
+/// observes, so it cannot drift from the PipelineReport.
 void recordPassMetrics(obs::Registry& metrics, const PassReport& record) {
   metrics.counter("flow." + record.pass + ".runs").add();
   if (record.rssHwmKb > 0)

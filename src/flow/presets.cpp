@@ -10,37 +10,47 @@ namespace polyast::flow {
 
 namespace {
 
-/// The paper's Algorithm 1 over the pass infrastructure. The stage
-/// toggles reproduce the historical FlowOptions ablation switches.
-PassPipeline polyastPipeline(std::string name, PipelineOptions o) {
+/// The Algorithm 1 stages after the affine one; the ablation presets
+/// switch some of them off.
+struct Stages {
+  bool skew = true;
+  bool parallelize = true;
+  bool tile = true;
+  bool registerTile = true;
+};
+
+/// The paper's Algorithm 1 over the pass infrastructure.
+PassPipeline polyastPipeline(std::string name, const PipelineOptions& o,
+                             Stages stages = {}) {
   PassPipeline pipe(std::move(name));
   pipe.nameSuffix = "_polyast";
-  pipe.add(std::make_shared<AffineTransformPass>(o.affine, o.ast.paramMin,
-                                                 o.fallbackToIdentity));
-  if (o.enableSkewing) pipe.add(std::make_shared<SkewPass>(o.ast));
-  if (o.enableParallelization)
-    pipe.add(std::make_shared<ParallelismPass>(o.ast));
-  if (o.enableTiling) pipe.add(std::make_shared<TilePass>(o.ast));
-  if (o.enableRegisterTiling)
+  pipe.add(std::make_shared<AffineTransformPass>(o.affine, o.ast.paramMin));
+  if (stages.skew) pipe.add(std::make_shared<SkewPass>(o.ast));
+  if (stages.parallelize) pipe.add(std::make_shared<ParallelismPass>(o.ast));
+  if (stages.tile) pipe.add(std::make_shared<TilePass>(o.ast));
+  if (stages.registerTile)
     pipe.add(std::make_shared<RegisterTilePass>(o.ast));
   return pipe;
 }
 
 /// The Pluto/PoCC-like baseline over the same passes: original loop
-/// order, Pluto fusion, doall-only parallelization (reductions treated as
-/// serializing, pipelines wavefronted after tiling).
-PassPipeline poccPipeline(std::string name, PipelineOptions o) {
+/// order, Pluto fusion (smartfuse unless a variant picks another),
+/// doall-only parallelization (reductions treated as serializing,
+/// pipelines wavefronted after tiling), and for `pocc-vect` the
+/// intra-tile SIMD permutation.
+PassPipeline poccPipeline(std::string name, const PipelineOptions& o,
+                          transform::FusionHeuristic fusion =
+                              transform::FusionHeuristic::SmartShared,
+                          bool vectorizeIntraTile = false) {
   PassPipeline pipe(std::move(name));
   pipe.nameSuffix = "_pocc";
   transform::AffineOptions aopt = o.affine;
   aopt.preferOriginalOrder = true;
-  aopt.fusion = o.plutoFusion;
+  aopt.fusion = fusion;
   // The doall-only baseline never privatizes accumulators, so relaxed
   // schedules could never discharge their proof obligations here.
   aopt.reductions = poly::ReductionMode::Strict;
-  // Pluto's flow is total: always fall back to the identity schedule.
-  pipe.add(std::make_shared<AffineTransformPass>(aopt, o.ast.paramMin,
-                                                 /*fallbackToIdentity=*/true));
+  pipe.add(std::make_shared<AffineTransformPass>(aopt, o.ast.paramMin));
   pipe.add(std::make_shared<SkewPass>(o.ast));
   transform::AstOptions dopt = o.ast;
   dopt.recognizeReductions = false;  // doall-only baseline
@@ -48,65 +58,61 @@ PassPipeline poccPipeline(std::string name, PipelineOptions o) {
   pipe.add(std::make_shared<ParallelismPass>(dopt));
   pipe.add(std::make_shared<TilePass>(o.ast));
   pipe.add(std::make_shared<WavefrontPass>());
-  if (o.vectorizeIntraTile)
+  if (vectorizeIntraTile)
     pipe.add(std::make_shared<IntraTileVectorizePass>());
-  if (o.enableRegisterTiling)
-    pipe.add(std::make_shared<RegisterTilePass>(o.ast));
+  pipe.add(std::make_shared<RegisterTilePass>(o.ast));
   return pipe;
 }
 
-using Factory =
-    std::function<PassPipeline(std::string, PipelineOptions)>;
+using Factory = std::function<PassPipeline(std::string, PipelineOptions)>;
 
 const std::map<std::string, Factory>& registry() {
+  using transform::FusionHeuristic;
   static const std::map<std::string, Factory> presets = {
-      {"polyast", polyastPipeline},
+      {"polyast",
+       [](std::string n, PipelineOptions o) {
+         return polyastPipeline(std::move(n), o);
+       }},
       {"polyast-nofuse",
        [](std::string n, PipelineOptions o) {
-         o.affine.fusion = transform::FusionHeuristic::NoFusion;
+         o.affine.fusion = FusionHeuristic::NoFusion;
          return polyastPipeline(std::move(n), o);
        }},
       {"polyast-noskew",
        [](std::string n, PipelineOptions o) {
-         o.enableSkewing = false;
-         return polyastPipeline(std::move(n), o);
+         return polyastPipeline(std::move(n), o, {.skew = false});
        }},
       {"polyast-nopar",
        [](std::string n, PipelineOptions o) {
-         o.enableParallelization = false;
-         return polyastPipeline(std::move(n), o);
+         return polyastPipeline(std::move(n), o, {.parallelize = false});
        }},
       {"polyast-notile",
        [](std::string n, PipelineOptions o) {
-         o.enableTiling = false;
-         o.enableRegisterTiling = false;
-         return polyastPipeline(std::move(n), o);
+         return polyastPipeline(std::move(n), o,
+                                {.tile = false, .registerTile = false});
        }},
       {"polyast-noregtile",
        [](std::string n, PipelineOptions o) {
-         o.enableRegisterTiling = false;
-         return polyastPipeline(std::move(n), o);
+         return polyastPipeline(std::move(n), o, {.registerTile = false});
        }},
-      {"pocc", poccPipeline},
-      {"pluto", poccPipeline},
+      {"pocc",
+       [](std::string n, PipelineOptions o) {
+         return poccPipeline(std::move(n), o);
+       }},
       {"pocc-maxfuse",
        [](std::string n, PipelineOptions o) {
-         o.plutoFusion = transform::FusionHeuristic::MaxLegal;
-         return poccPipeline(std::move(n), o);
+         return poccPipeline(std::move(n), o, FusionHeuristic::MaxLegal);
        }},
       {"pocc-nofuse",
        [](std::string n, PipelineOptions o) {
-         o.plutoFusion = transform::FusionHeuristic::NoFusion;
-         return poccPipeline(std::move(n), o);
+         return poccPipeline(std::move(n), o, FusionHeuristic::NoFusion);
        }},
       {"pocc-vect",
        [](std::string n, PipelineOptions o) {
-         o.vectorizeIntraTile = true;
-         return poccPipeline(std::move(n), o);
+         return poccPipeline(std::move(n), o, FusionHeuristic::SmartShared,
+                             /*vectorizeIntraTile=*/true);
        }},
       {"identity",
-       [](std::string n, PipelineOptions) { return PassPipeline(std::move(n)); }},
-      {"none",
        [](std::string n, PipelineOptions) { return PassPipeline(std::move(n)); }},
   };
   return presets;

@@ -1,6 +1,8 @@
 // Named pipeline presets: the paper's flow, the Pluto-like baseline, the
 // identity pipeline, and the ablation variants — all expressed over the
-// same pass infrastructure.
+// same pass infrastructure. A preset is the only entry point into the
+// flow: the preset name picks the composition of passes, and
+// PipelineOptions only parameterizes them.
 #pragma once
 
 #include <string>
@@ -11,28 +13,13 @@
 
 namespace polyast::flow {
 
-/// Unified options for every preset. The polyast presets consume `affine`
-/// as given; the pocc presets force the baseline's scheduler configuration
-/// (original loop order, `plutoFusion`) and are additionally shaped by
-/// `vectorizeIntraTile`.
+/// Options shared by every preset. The polyast presets consume `affine`
+/// as given; the pocc presets force the baseline's scheduler
+/// configuration (original loop order, their fusion heuristic, strict
+/// reductions) on top of it.
 struct PipelineOptions {
   transform::AffineOptions affine;
   transform::AstOptions ast;
-  /// Fall back to the original schedule when the affine stage fails (the
-  /// pocc presets always fall back, as Pluto's flow is total).
-  bool fallbackToIdentity = true;
-  /// Stage toggles — the ablation presets flip these; they are also
-  /// honored by the base presets so callers can compose ablations
-  /// directly.
-  bool enableSkewing = true;
-  bool enableParallelization = true;
-  bool enableTiling = true;
-  bool enableRegisterTiling = true;
-  /// pocc presets: fusion heuristic (Pluto smartfuse by default) and the
-  /// `pocc vect` intra-tile permutation.
-  transform::FusionHeuristic plutoFusion =
-      transform::FusionHeuristic::SmartShared;
-  bool vectorizeIntraTile = false;
 };
 
 /// Builds the named preset. Registered names (see pipelinePresets()):
@@ -42,19 +29,19 @@ struct PipelineOptions {
 ///   polyast-nopar      — ablation: skip parallelism detection
 ///   polyast-notile     — ablation: skip tiling and register tiling
 ///   polyast-noregtile  — ablation: skip register tiling only
-///   pocc (alias pluto) — Pluto-like baseline, smartfuse
+///   pocc               — Pluto-like baseline, smartfuse
 ///   pocc-maxfuse       — baseline with maximal fusion
 ///   pocc-nofuse        — baseline without fusion
 ///   pocc-vect          — baseline + intra-tile SIMD permutation
-///   identity (alias none) — no transformation
+///   identity           — no transformation
 /// Throws polyast::Error for unknown names.
 PassPipeline makePipeline(const std::string& preset,
                           const PipelineOptions& options = {});
 
-/// All registered preset names, sorted (aliases included).
+/// All registered preset names, sorted.
 std::vector<std::string> pipelinePresets();
 
-/// True when `preset` names a registered pipeline (or alias).
+/// True when `preset` names a registered pipeline.
 bool hasPipelinePreset(const std::string& preset);
 
 }  // namespace polyast::flow

@@ -67,7 +67,6 @@ struct ParallelismStats {
   /// Pipeline-kind marks whose sync depth reaches three levels (the
   /// runtime's 3D doacross grid applies).
   int pipelineDepth3 = 0;
-  int total() const { return doall + reduction + pipeline + reductionPipeline; }
 };
 
 /// Detects and annotates loop parallelism (Loop::parallel). When

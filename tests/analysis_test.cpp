@@ -115,7 +115,8 @@ TEST(Diagnostics, JsonDocumentRoundTrips) {
 TEST(Origin, FirstAnalyzeStampsIdentityMaps) {
   ir::Program p = kernels::buildKernel("gemm");
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   ASSERT_TRUE(session.hasBaseline());
 
   p.forEachStmt([](const std::shared_ptr<ir::Stmt>& stmt,
@@ -133,7 +134,8 @@ TEST(Origin, RenameIterInTreeSurvivesAliasedFromArgument) {
   // unrenamed.
   ir::Program p = kernels::buildKernel("gemm");
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
 
   auto loops = loopsOf(p, 0);
   ASSERT_FALSE(loops.empty());
@@ -146,7 +148,7 @@ TEST(Origin, RenameIterInTreeSurvivesAliasedFromArgument) {
 
   // The origin maps still express original iterators of this statement in
   // terms of the live ones: re-analysis reports no origin mismatch.
-  session.analyze(p, "rename");
+  session.analyze(p, "rename", deps);
   EXPECT_FALSE(hasDiagnostic(session.engine(), Severity::Error, "legality",
                              "origin-mismatch"));
 }
@@ -171,7 +173,8 @@ TEST(Races, DoallOnCarriedDependenceIsAnError) {
   ir::Program p = carriedDependenceLoop();
   loopsOf(p)[0]->parallel = ir::ParallelKind::Doall;
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   EXPECT_TRUE(hasDiagnostic(session.engine(), Severity::Error, "races",
                             "doall-race"))
       << session.engine().summary();
@@ -189,7 +192,8 @@ TEST(Races, DoallOnIndependentLoopIsClean) {
   loopsOf(p)[0]->parallel = ir::ParallelKind::Doall;
 
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   EXPECT_EQ(session.engine().errors(), 0u) << session.engine().summary();
   EXPECT_EQ(session.engine().warnings(), 0u) << session.engine().summary();
 }
@@ -211,7 +215,8 @@ TEST(Races, ReductionMarkCoversAccumulatorUpdate) {
     ir::Program p = b.build();
     loopsOf(p)[0]->parallel = ir::ParallelKind::Reduction;
     AnalysisSession session;
-    session.analyze(p, "<input>");
+    poly::DependenceCache deps;
+    session.analyze(p, "<input>", deps);
     EXPECT_EQ(session.engine().errors(), 0u) << session.engine().summary();
   }
 }
@@ -231,7 +236,8 @@ TEST(Bounds, OverflowGetsErrorWithIntegerWitness) {
   ir::Program p = b.build();
 
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   ASSERT_TRUE(hasDiagnostic(session.engine(), Severity::Error, "bounds",
                             "out-of-bounds"))
       << session.engine().summary();
@@ -255,7 +261,8 @@ TEST(Bounds, DeadIteratorIsARemarkButTimeLoopIsNot) {
   b.endLoop();
   ir::Program p = b.build();
   AnalysisSession session;
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   EXPECT_TRUE(hasDiagnostic(session.engine(), Severity::Remark, "bounds",
                             "dead-iterator"))
       << session.engine().summary();
@@ -273,7 +280,8 @@ TEST(Bounds, DeadIteratorIsARemarkButTimeLoopIsNot) {
   b2.endLoop();
   ir::Program q = b2.build();
   AnalysisSession session2;
-  session2.analyze(q, "<input>");
+  poly::DependenceCache deps2;
+  session2.analyze(q, "<input>", deps2);
   EXPECT_FALSE(hasDiagnostic(session2.engine(), Severity::Remark, "bounds",
                              "dead-iterator"))
       << session2.engine().summary();
@@ -286,9 +294,10 @@ TEST(Session, ReanalyzingUnchangedProgramIsSkipped) {
   obs::Registry reg;
   ir::Program p = kernels::buildKernel("gemm");
   AnalysisSession session({}, &reg);
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   std::int64_t runsAfterFirst = reg.counter("analysis.runs").value();
-  session.analyze(p, "noop-pass");
+  session.analyze(p, "noop-pass", deps);
   EXPECT_EQ(reg.counter("analysis.runs").value(), runsAfterFirst + 1);
   EXPECT_EQ(reg.counter("analysis.skipped_unchanged").value(), 1);
 }
@@ -301,13 +310,14 @@ TEST(Session, LegalityReusedAcrossIteratorRename) {
   obs::Registry reg;
   ir::Program p = kernels::buildKernel("gemm");
   AnalysisSession session({}, &reg);
-  session.analyze(p, "<input>");
+  poly::DependenceCache deps;
+  session.analyze(p, "<input>", deps);
   EXPECT_EQ(reg.counter("analysis.legality.reused_unchanged").value(), 0);
 
   auto loops = loopsOf(p, 0);
   ASSERT_FALSE(loops.empty());
   ir::renameIterInTree(loops[0], loops[0]->iter, "w9");
-  session.analyze(p, "rename");
+  session.analyze(p, "rename", deps);
   EXPECT_EQ(reg.counter("analysis.legality.reused_unchanged").value(), 1);
   EXPECT_FALSE(hasDiagnostic(session.engine(), Severity::Error, "legality",
                              "origin-mismatch"));
@@ -317,7 +327,7 @@ TEST(Session, LegalityReusedAcrossIteratorRename) {
   auto loops2 = loopsOf(p, 0);
   ASSERT_GE(loops2.size(), 1u);
   loops2[0]->upper.parts.push_back(ir::AffExpr(1000000));
-  session.analyze(p, "bound-change");
+  session.analyze(p, "bound-change", deps);
   EXPECT_EQ(reg.counter("analysis.legality.reused_unchanged").value(), 1);
 }
 

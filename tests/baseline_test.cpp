@@ -1,18 +1,18 @@
-#include "baseline/pluto.hpp"
-
 #include <gtest/gtest.h>
 
+#include "flow/presets.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
 #include "test_util.hpp"
 #include "transform/ast_stage.hpp"
 
-namespace polyast::baseline {
+namespace polyast::flow {
 namespace {
 
 using ir::AffExpr;
 using ir::ParallelKind;
 using testutil::expectSameSemantics;
+using testutil::withoutRegisterTiling;
 
 std::shared_ptr<ir::Loop> loopAt(const ir::Program& p, int stmtId,
                                  std::size_t depth) {
@@ -72,9 +72,9 @@ TEST(Wavefront, RefusesMultiPartBounds) {
 TEST(Pluto, DoallOnlyNeverEmitsPipelineOrReduction) {
   for (const char* name : {"gemm", "jacobi-2d-imper", "mvt", "atax"}) {
     ir::Program p = kernels::buildKernel(name);
-    PlutoOptions opt;
+    PipelineOptions opt;
     opt.ast.tileSize = 4;
-    ir::Program q = plutoOptimize(p, opt);
+    ir::Program q = makePipeline("pocc", opt).run(p);
     q.forEachStmt([&](const std::shared_ptr<ir::Stmt>&,
                       const std::vector<std::shared_ptr<ir::Loop>>& loops) {
       for (const auto& l : loops) {
@@ -102,15 +102,10 @@ TEST(Pluto, SmartFuseRequiresSharedArray) {
          ir::floatLit(2.0));
   b.endLoop();
   ir::Program p = b.build();
-  PlutoOptions smart;
-  smart.fuse = PlutoOptions::Fuse::Smart;
-  smart.registerTiling = false;
-  ir::Program qs = plutoOptimize(p, smart);
+  ir::Program qs = makePipeline("pocc", withoutRegisterTiling()).run(p);
   EXPECT_EQ(qs.root->children.size(), 2u) << ir::printProgram(qs);
-  PlutoOptions max;
-  max.fuse = PlutoOptions::Fuse::Max;
-  max.registerTiling = false;
-  ir::Program qm = plutoOptimize(p, max);
+  ir::Program qm =
+      makePipeline("pocc-maxfuse", withoutRegisterTiling()).run(p);
   EXPECT_EQ(qm.root->children.size(), 1u) << ir::printProgram(qm);
   expectSameSemantics(p, qs, {{"N", 12}});
   expectSameSemantics(p, qm, {{"N", 12}});
@@ -119,13 +114,12 @@ TEST(Pluto, SmartFuseRequiresSharedArray) {
 TEST(Pluto, KeepsOriginalLoopOrder) {
   // preferOriginalOrder: gemm stays (i, j, k) — A read is A[c1][c3].
   ir::Program p = kernels::buildKernel("gemm");
-  PlutoOptions opt;
-  opt.registerTiling = false;
+  PipelineOptions opt = withoutRegisterTiling();
   opt.ast.tileSize = 0x7fffffff;  // effectively untiled for readability
-  ir::Program q = plutoOptimize(p, opt);
+  ir::Program q = makePipeline("pocc", opt).run(p);
   std::string s = ir::printProgram(q);
   EXPECT_NE(s.find("A[c1][c3]"), std::string::npos) << s;
 }
 
 }  // namespace
-}  // namespace polyast::baseline
+}  // namespace polyast::flow

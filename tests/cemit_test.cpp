@@ -8,8 +8,8 @@
 #include <sstream>
 
 #include "exec/interp.hpp"
+#include "flow/presets.hpp"
 #include "kernels/polybench.hpp"
-#include "transform/flow.hpp"
 
 namespace polyast::ir {
 namespace {
@@ -29,9 +29,7 @@ TEST(CEmit, GemmContainsExpectedPieces) {
 
 TEST(CEmit, DoallGetsOpenmpPragma) {
   Program p = kernels::buildKernel("gemm");
-  transform::FlowOptions o;
-  o.enableRegisterTiling = false;
-  Program q = transform::optimize(p, o);
+  Program q = flow::makePipeline("polyast-noregtile").run(p);
   std::string src = emitC(q);
   EXPECT_NE(src.find("#pragma omp parallel for"), std::string::npos) << src;
   CEmitOptions noOmp;
@@ -43,10 +41,7 @@ TEST(CEmit, DoallGetsOpenmpPragma) {
 
 TEST(CEmit, PipelineMarkedAsComment) {
   Program p = kernels::buildKernel("seidel-2d");
-  transform::FlowOptions o;
-  o.enableTiling = false;
-  o.enableRegisterTiling = false;
-  Program q = transform::optimize(p, o);
+  Program q = flow::makePipeline("polyast-notile").run(p);
   std::string src = emitC(q);
   // The mark comment carries the sync-chain depth the detector proved, so
   // a downstream pass knows which doacross construct the loop needs.
@@ -56,9 +51,9 @@ TEST(CEmit, PipelineMarkedAsComment) {
 
 TEST(CEmit, GuardsBecomeIfs) {
   Program p = kernels::buildKernel("gemm");
-  transform::FlowOptions o;
+  flow::PipelineOptions o;
   o.ast.unrollInner = 2;
-  Program q = transform::optimize(p, o);
+  Program q = flow::makePipeline("polyast", o).run(p);
   std::string src = emitC(q);
   EXPECT_NE(src.find("if ("), std::string::npos) << src;
 }
@@ -125,10 +120,10 @@ TEST_P(CompileAndRun, ChecksumMatchesInterpreter) {
   EXPECT_NEAR(*got, want, 1e-6 * (std::abs(want) + 1.0));
 
   // Fully optimized program (same semantics, same seeds).
-  transform::FlowOptions fo;
+  flow::PipelineOptions fo;
   fo.ast.tileSize = 5;
   fo.ast.timeTileSize = 2;
-  Program q = transform::optimize(p, fo);
+  Program q = flow::makePipeline("polyast", fo).run(p);
   auto got2 = compileRunChecksum(emitC(q, opt), GetParam() + "_opt");
   ASSERT_TRUE(got2.has_value()) << "compilation of optimized code failed";
   EXPECT_NEAR(*got2, want, 1e-6 * (std::abs(want) + 1.0));

@@ -2,14 +2,13 @@
 // option combinations not exercised by the kernel-driven suites.
 #include <gtest/gtest.h>
 
-#include "baseline/pluto.hpp"
+#include "flow/presets.hpp"
 #include "ir/builder.hpp"
 #include "ir/cemit.hpp"
 #include "kernels/polybench.hpp"
 #include "poly/codegen.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
-#include "transform/flow.hpp"
 
 namespace polyast {
 namespace {
@@ -20,9 +19,9 @@ TEST(Edge, EmptyProgramFlowsCleanly) {
   ir::ProgramBuilder b("empty");
   b.param("N", 8);
   ir::Program p = b.build();
-  ir::Program q = transform::optimize(p);
+  ir::Program q = flow::makePipeline("polyast").run(p);
   EXPECT_TRUE(q.statements().empty());
-  ir::Program r = baseline::plutoOptimize(p);
+  ir::Program r = flow::makePipeline("pocc").run(p);
   EXPECT_TRUE(r.statements().empty());
 }
 
@@ -31,7 +30,7 @@ TEST(Edge, SingleStatementNoLoops) {
   b.array("s", {AffExpr(1)});
   b.stmt("S", "s", {AffExpr(0)}, ir::AssignOp::Set, ir::floatLit(7.0));
   ir::Program p = b.build();
-  ir::Program q = transform::optimize(p);
+  ir::Program q = flow::makePipeline("polyast").run(p);
   testutil::expectSameSemantics(p, q);
 }
 
@@ -71,12 +70,12 @@ TEST(Edge, TinyTripCountsSurviveEverything) {
   // must keep the transformed programs exact.
   for (const char* name : {"gemm", "jacobi-2d-imper", "trisolv"}) {
     ir::Program p = kernels::buildKernel(name);
-    transform::FlowOptions o;
+    flow::PipelineOptions o;
     o.ast.tileSize = 16;
     o.ast.timeTileSize = 8;
     o.ast.unrollInner = 4;
     o.ast.unrollOuter = 4;
-    ir::Program q = transform::optimize(p, o);
+    ir::Program q = flow::makePipeline("polyast", o).run(p);
     std::map<std::string, std::int64_t> params;
     for (const auto& n : p.params) params[n] = (n == "TSTEPS") ? 1 : 5;
     SCOPED_TRACE(name);
@@ -89,8 +88,9 @@ TEST(Edge, FlowIsDeterministic) {
   // (the scheduler iterates ordered containers only).
   ir::Program p1 = kernels::buildKernel("2mm");
   ir::Program p2 = kernels::buildKernel("2mm");
-  std::string a = ir::printProgram(transform::optimize(p1));
-  std::string b = ir::printProgram(transform::optimize(p2));
+  flow::PassPipeline pipe = flow::makePipeline("polyast");
+  std::string a = ir::printProgram(pipe.run(p1));
+  std::string b = ir::printProgram(pipe.run(p2));
   EXPECT_EQ(a, b);
 }
 
@@ -98,11 +98,10 @@ TEST(Edge, OptimizeIsIdempotentOnItsOutputSemantics) {
   // Re-optimizing an already-optimized (untiled) program must still be
   // semantics-preserving.
   ir::Program p = kernels::buildKernel("gemm");
-  transform::FlowOptions o;
-  o.enableTiling = false;          // keep the output a SCoP (unit steps)
-  o.enableRegisterTiling = false;
-  ir::Program q = transform::optimize(p, o);
-  ir::Program r = transform::optimize(q, o);
+  // No tiling keeps the output a SCoP (unit steps).
+  flow::PassPipeline pipe = flow::makePipeline("polyast-notile");
+  ir::Program q = pipe.run(p);
+  ir::Program r = pipe.run(q);
   testutil::expectSameSemantics(p, r, {{"NI", 7}, {"NJ", 6}, {"NK", 5}});
 }
 

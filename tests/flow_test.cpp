@@ -1,8 +1,6 @@
-#include "transform/flow.hpp"
-
 #include <gtest/gtest.h>
 
-#include "baseline/pluto.hpp"
+#include "flow/presets.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
 #include "test_util.hpp"
@@ -12,6 +10,7 @@ namespace {
 
 using ir::ParallelKind;
 using testutil::expectSameSemantics;
+using testutil::withoutRegisterTiling;
 
 std::map<std::string, std::int64_t> oddParams(const ir::Program& p) {
   std::map<std::string, std::int64_t> params;
@@ -20,8 +19,8 @@ std::map<std::string, std::int64_t> oddParams(const ir::Program& p) {
   return params;
 }
 
-FlowOptions testFlowOptions() {
-  FlowOptions o;
+flow::PipelineOptions testOptions() {
+  flow::PipelineOptions o;
   o.ast.tileSize = 3;
   o.ast.timeTileSize = 2;
   o.ast.unrollInner = 2;
@@ -35,9 +34,9 @@ class FlowOnAllKernels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FlowOnAllKernels, SemanticsPreserved) {
   ir::Program p = kernels::buildKernel(GetParam());
-  FlowReport report;
-  ir::Program q = optimize(p, testFlowOptions(), &report);
-  EXPECT_TRUE(report.affineStageSucceeded) << GetParam();
+  flow::PassContext ctx;
+  ir::Program q = flow::makePipeline("polyast", testOptions()).run(p, ctx);
+  EXPECT_TRUE(ctx.report.find("affine")->succeeded) << GetParam();
   expectSameSemantics(p, q, oddParams(p));
 }
 
@@ -59,12 +58,7 @@ class PlutoOnAllKernels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlutoOnAllKernels, SemanticsPreserved) {
   ir::Program p = kernels::buildKernel(GetParam());
-  baseline::PlutoOptions opt;
-  opt.ast.tileSize = 3;
-  opt.ast.timeTileSize = 2;
-  opt.ast.unrollInner = 2;
-  opt.ast.unrollOuter = 2;
-  ir::Program q = baseline::plutoOptimize(p, opt);
+  ir::Program q = flow::makePipeline("pocc", testOptions()).run(p);
   expectSameSemantics(p, q, oddParams(p));
 }
 
@@ -83,9 +77,8 @@ INSTANTIATE_TEST_SUITE_P(PolyBench, PlutoOnAllKernels, ::testing::ValuesIn([] {
 
 TEST(Flow, StencilGetsPipelineMark) {
   ir::Program p = kernels::buildKernel("jacobi-2d-imper");
-  FlowOptions o = testFlowOptions();
-  o.enableRegisterTiling = false;
-  ir::Program q = optimize(p, o);
+  ir::Program q =
+      flow::makePipeline("polyast-noregtile", testOptions()).run(p);
   bool sawPipeline = false;
   std::function<void(const ir::NodePtr&)> walk = [&](const ir::NodePtr& n) {
     if (n->kind == ir::Node::Kind::Loop) {
@@ -105,7 +98,7 @@ TEST(Flow, StencilGetsPipelineMark) {
 
 TEST(Flow, GemmGetsDoallMark) {
   ir::Program p = kernels::buildKernel("gemm");
-  ir::Program q = optimize(p, testFlowOptions());
+  ir::Program q = flow::makePipeline("polyast", testOptions()).run(p);
   bool sawDoall = false;
   std::function<void(const ir::NodePtr&)> walk = [&](const ir::NodePtr& n) {
     if (n->kind == ir::Node::Kind::Loop) {
@@ -123,13 +116,12 @@ TEST(Flow, GemmGetsDoallMark) {
 
 TEST(Pluto, WavefrontAppearsForStencils) {
   ir::Program p = kernels::buildKernel("seidel-2d");
-  baseline::PlutoOptions opt;
+  flow::PipelineOptions opt = withoutRegisterTiling();
   opt.ast.tileSize = 3;
   opt.ast.timeTileSize = 2;
-  opt.registerTiling = false;
-  baseline::PlutoReport report;
-  ir::Program q = baseline::plutoOptimize(p, opt, &report);
-  EXPECT_GE(report.wavefronts, 1) << ir::printProgram(q);
+  flow::PassContext ctx;
+  ir::Program q = flow::makePipeline("pocc", opt).run(p, ctx);
+  EXPECT_GE(ctx.report.counter("wavefronts"), 1) << ir::printProgram(q);
   expectSameSemantics(p, q, {{"TSTEPS", 2}, {"N", 9}});
 }
 
@@ -138,11 +130,9 @@ TEST(Pluto, MaxFuseProduces2mmFigure2Shape) {
   // (the paper's Fig. 2 behaviour) when legal; at minimum it must not be
   // *more* distributed than the DL flow.
   ir::Program p = kernels::buildKernel("2mm");
-  baseline::PlutoOptions opt;
-  opt.fuse = baseline::PlutoOptions::Fuse::Max;
-  opt.registerTiling = false;
+  flow::PipelineOptions opt = withoutRegisterTiling();
   opt.ast.tileSize = 3;
-  ir::Program q = baseline::plutoOptimize(p, opt);
+  ir::Program q = flow::makePipeline("pocc-maxfuse", opt).run(p);
   expectSameSemantics(p, q, {{"NI", 6}, {"NJ", 6}, {"NK", 6}, {"NL", 6}});
 }
 
@@ -163,25 +153,22 @@ TEST(Pluto, VectVariantPermutesIntraTile) {
   b.endLoop();
   b.endLoop();
   ir::Program p = b.build();
-  baseline::PlutoOptions opt;
+  flow::PipelineOptions opt = withoutRegisterTiling();
   opt.ast.tileSize = 4;
-  opt.vectorizeIntraTile = true;
-  opt.registerTiling = false;
-  baseline::PlutoReport report;
-  ir::Program q = baseline::plutoOptimize(p, opt, &report);
+  flow::PassContext ctx;
+  ir::Program q = flow::makePipeline("pocc-vect", opt).run(p, ctx);
   expectSameSemantics(p, q, {{"N", 9}});
-  EXPECT_GE(report.intraTilePermutations, 1) << ir::printProgram(q);
+  EXPECT_GE(ctx.report.counter("intra_tile_permutations"), 1)
+      << ir::printProgram(q);
 }
 
 TEST(Flow, AblationTogglesWork) {
   ir::Program p = kernels::buildKernel("gemm");
-  FlowOptions o = testFlowOptions();
-  o.enableTiling = false;
-  o.enableRegisterTiling = false;
-  FlowReport r;
-  ir::Program q = optimize(p, o, &r);
-  EXPECT_EQ(r.bandsTiled, 0);
-  EXPECT_EQ(r.loopsUnrolled, 0);
+  flow::PassContext ctx;
+  ir::Program q =
+      flow::makePipeline("polyast-notile", testOptions()).run(p, ctx);
+  EXPECT_EQ(ctx.report.counter("bands_tiled"), 0);
+  EXPECT_EQ(ctx.report.counter("loops_unrolled"), 0);
   expectSameSemantics(p, q, oddParams(p));
 }
 

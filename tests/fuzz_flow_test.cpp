@@ -10,12 +10,10 @@
 
 #include <cstdint>
 
-#include "baseline/pluto.hpp"
 #include "flow/presets.hpp"
 #include "ir/builder.hpp"
 #include "test_util.hpp"
 #include "poly/codegen.hpp"
-#include "transform/flow.hpp"
 
 namespace polyast::transform {
 namespace {
@@ -101,12 +99,12 @@ TEST_P(FuzzFlow, PolyAstPreservesSemantics) {
         static_cast<std::uint64_t>(GetParam()) * 1000 +
         static_cast<std::uint64_t>(trial);
     ir::Program p = randomProgram(seed);
-    FlowOptions o;
+    flow::PipelineOptions o;
     o.ast.tileSize = 4;
     o.ast.timeTileSize = 3;
     o.ast.unrollInner = 2;
     o.ast.unrollOuter = 2;
-    ir::Program q = optimize(p, o);
+    ir::Program q = flow::makePipeline("polyast", o).run(p);
     SCOPED_TRACE("seed " + std::to_string(seed));
     testutil::expectSameSemantics(p, q, {{"N", 9}});
   }
@@ -118,13 +116,13 @@ TEST_P(FuzzFlow, PlutoBaselinePreservesSemantics) {
         static_cast<std::uint64_t>(GetParam()) * 7777 +
         static_cast<std::uint64_t>(trial);
     ir::Program p = randomProgram(seed);
-    baseline::PlutoOptions o;
+    flow::PipelineOptions o;
     o.ast.tileSize = 4;
-    o.fuse = (trial % 3 == 0)   ? baseline::PlutoOptions::Fuse::Max
-             : (trial % 3 == 1) ? baseline::PlutoOptions::Fuse::Smart
-                                : baseline::PlutoOptions::Fuse::None;
-    o.vectorizeIntraTile = trial % 2 == 0;
-    ir::Program q = baseline::plutoOptimize(p, o);
+    // Every fusion heuristic twice; smartfuse once with the intra-tile
+    // permutation.
+    const char* presets[] = {"pocc-maxfuse", "pocc", "pocc-nofuse",
+                             "pocc-maxfuse", "pocc-vect", "pocc-nofuse"};
+    ir::Program q = flow::makePipeline(presets[trial], o).run(p);
     SCOPED_TRACE("seed " + std::to_string(seed));
     testutil::expectSameSemantics(p, q, {{"N", 9}});
   }
@@ -179,8 +177,8 @@ TEST_P(FuzzFlow, RandomPassSubsetsVerifyEachPass) {
     if (mask & 1) {
       AffineOptions affine;
       if (rng.chance(30)) affine.fusion = FusionHeuristic::MaxLegal;
-      pipe.add(std::make_shared<flow::AffineTransformPass>(
-          affine, aopt.paramMin, /*fallbackToIdentity=*/true));
+      pipe.add(
+          std::make_shared<flow::AffineTransformPass>(affine, aopt.paramMin));
     }
     if (mask & 2) pipe.add(std::make_shared<flow::SkewPass>(aopt));
     if (mask & 4) pipe.add(std::make_shared<flow::ParallelismPass>(aopt));

@@ -1,9 +1,9 @@
 // Observability-layer tests: span nesting (including across threads),
 // histogram bucket semantics, exporter round-trips through the bundled
 // JSON parser, the pipeline integration (one span per executed pass, the
-// FlowReport-over-registry contract, continue-after-failure verification),
-// and the native JIT's parallel lowering validated against the sequential
-// interpreter.
+// registry mirroring the pipeline report, continue-after-failure
+// verification), and the native JIT's parallel lowering validated against
+// the sequential interpreter.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -371,8 +371,11 @@ TEST(PipelineObs, OneSpanPerExecutedPass) {
   ASSERT_TRUE(pipelineSpan != nullptr);
   EXPECT_EQ(passSpans, ctx.report.passes.size());
   // Every pass span is a child of the pipeline span.
-  for (const auto& s : spans)
-    if (s.category == "pass") EXPECT_EQ(s.parentId, pipelineSpan->id);
+  for (const auto& s : spans) {
+    if (s.category == "pass") {
+      EXPECT_EQ(s.parentId, pipelineSpan->id);
+    }
+  }
 }
 
 TEST(PipelineObs, FlowReportIsAViewOverTheRegistry) {

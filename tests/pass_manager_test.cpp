@@ -1,20 +1,16 @@
-// Pass-manager tests: preset registry and pass ordering, equivalence of
-// the classic entry points with their pipeline presets, per-pass
+// Pass-manager tests: preset registry and pass ordering, per-pass
 // instrumentation, and the inter-pass oracle's ability to attribute a
 // semantic break to the pass that introduced it.
 #include "flow/presets.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
-#include "baseline/pluto.hpp"
 #include "ir/builder.hpp"
 #include "kernels/polybench.hpp"
 #include "obs/selfprof.hpp"
 #include "test_util.hpp"
-#include "transform/flow.hpp"
 
 namespace polyast::flow {
 namespace {
@@ -46,14 +42,11 @@ VerifyOptions kernelVerify(const ir::Program& p) {
 }
 
 TEST(Presets, RegistryContainsTheDocumentedNames) {
-  auto names = pipelinePresets();
-  for (const char* expected :
-       {"polyast", "polyast-notile", "polyast-noregtile", "polyast-noskew",
-        "polyast-nopar", "polyast-nofuse", "pocc", "pluto", "pocc-maxfuse",
-        "pocc-nofuse", "pocc-vect", "identity", "none"})
-    EXPECT_TRUE(std::find(names.begin(), names.end(), expected) !=
-                names.end())
-        << expected;
+  EXPECT_EQ(pipelinePresets(),
+            (std::vector<std::string>{
+                "identity", "pocc", "pocc-maxfuse", "pocc-nofuse",
+                "pocc-vect", "polyast", "polyast-nofuse", "polyast-nopar",
+                "polyast-noregtile", "polyast-noskew", "polyast-notile"}));
   EXPECT_TRUE(hasPipelinePreset("polyast"));
   EXPECT_FALSE(hasPipelinePreset("polyhedral-magic"));
   EXPECT_THROW(makePipeline("polyhedral-magic"), Error);
@@ -74,42 +67,6 @@ TEST(Presets, PassOrderingMatchesAlgorithm1) {
   EXPECT_EQ(makePipeline("polyast-noregtile").passNames(),
             (Names{"affine", "skew", "parallelism", "tile"}));
   EXPECT_TRUE(makePipeline("identity").passNames().empty());
-}
-
-/// The classic entry points must produce byte-identical programs to their
-/// pipeline presets (they are implemented over them; this pins the
-/// equivalence against regressions in either direction).
-TEST(Presets, PolyastPresetMatchesOptimize) {
-  for (const char* name : {"gemm", "2mm", "mvt", "jacobi-2d-imper",
-                           "seidel-2d", "cholesky"}) {
-    ir::Program p = kernels::buildKernel(name);
-    transform::FlowOptions fopt;
-    fopt.ast = testAstOptions();
-    ir::Program viaOptimize = transform::optimize(p, fopt);
-
-    PipelineOptions popt;
-    popt.ast = testAstOptions();
-    PassContext ctx;
-    ir::Program viaPipeline = makePipeline("polyast", popt).run(p, ctx);
-    EXPECT_EQ(ir::printProgram(viaOptimize), ir::printProgram(viaPipeline))
-        << name;
-  }
-}
-
-TEST(Presets, PoccPresetMatchesPlutoOptimize) {
-  for (const char* name : {"gemm", "2mm", "seidel-2d"}) {
-    ir::Program p = kernels::buildKernel(name);
-    baseline::PlutoOptions bopt;
-    bopt.ast = testAstOptions();
-    bopt.vectorizeIntraTile = true;
-    ir::Program viaBaseline = baseline::plutoOptimize(p, bopt);
-
-    PipelineOptions popt;
-    popt.ast = testAstOptions();
-    ir::Program viaPipeline = makePipeline("pocc-vect", popt).run(p);
-    EXPECT_EQ(ir::printProgram(viaBaseline), ir::printProgram(viaPipeline))
-        << name;
-  }
 }
 
 TEST(Presets, IdentityPipelineIsANoOp) {
@@ -142,21 +99,22 @@ TEST(PipelineReport, RecordsTimingCountersAndOracleVerdicts) {
 }
 
 TEST(FlowReport, RecordsParallelismDetectionOutcome) {
-  // Previously FlowReport dropped the detectParallelism result entirely;
-  // benches could not assert which parallel kind was selected.
-  transform::FlowOptions fopt;
-  fopt.ast = testAstOptions();
+  // The parallelism pass reports the loop marks it set, by kind, so a
+  // caller can assert which parallel kind was selected.
+  PipelineOptions popt;
+  popt.ast = testAstOptions();
 
   ir::Program gemm = kernels::buildKernel("gemm");
-  transform::FlowReport r;
-  transform::optimize(gemm, fopt, &r);
-  EXPECT_GE(r.parallelism.doall + r.parallelism.reduction, 1);
-  EXPECT_GE(r.parallelism.total(), 1);
+  PassContext ctx;
+  makePipeline("polyast", popt).run(gemm, ctx);
+  EXPECT_GE(ctx.report.counter("doall") + ctx.report.counter("reduction"), 1);
 
   ir::Program stencil = kernels::buildKernel("jacobi-2d-imper");
-  transform::FlowReport rs;
-  transform::optimize(stencil, fopt, &rs);
-  EXPECT_GE(rs.parallelism.pipeline + rs.parallelism.reductionPipeline, 1);
+  PassContext sctx;
+  makePipeline("polyast", popt).run(stencil, sctx);
+  EXPECT_GE(sctx.report.counter("pipeline") +
+                sctx.report.counter("reduction_pipeline"),
+            1);
 }
 
 /// A deliberately semantics-breaking pass: appends an unsatisfiable guard
@@ -311,13 +269,14 @@ TEST(AffineTransformPass, SurfacesFallbackReasonInsteadOfSwallowingIt) {
   // flow silently fell back to identity schedules and discarded the
   // reason; the pass reports both the fallback and the message.
   ir::Program p = kernels::buildKernel("gemm");
-  transform::FlowOptions fopt;
-  fopt.ast = testAstOptions();
-  fopt.affine.maxShift = -1;
-  transform::FlowReport report;
-  ir::Program q = transform::optimize(p, fopt, &report);
-  EXPECT_FALSE(report.affineStageSucceeded);
-  EXPECT_FALSE(report.affineFailureReason.empty());
+  PipelineOptions popt;
+  popt.ast = testAstOptions();
+  popt.affine.maxShift = -1;
+  PassContext ctx;
+  ir::Program q = makePipeline("polyast", popt).run(p, ctx);
+  ASSERT_EQ(ctx.report.passes[0].pass, "affine");
+  EXPECT_FALSE(ctx.report.passes[0].succeeded);
+  EXPECT_FALSE(ctx.report.passes[0].note.empty());
   testutil::expectSameSemantics(p, q, oddParams(p));
 }
 

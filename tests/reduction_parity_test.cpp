@@ -141,15 +141,18 @@ TEST(ReductionRelaxation, RelaxedSchedulesReProven) {
     aopt.reductions = true;
     aopt.relaxedReductions = true;
     analysis::AnalysisSession session(aopt);
-    session.analyze(p, "final");
+    poly::DependenceCache deps;
+    session.analyze(p, "final", deps);
     EXPECT_EQ(session.engine().errors(), 0u) << k.name;
     EXPECT_EQ(session.engine().warnings(), 0u) << k.name;
     // Capturing the baseline on an already-tiled (stepped) program emits
     // a benign legality/baseline-unusable remark; everything else must
     // come from the reductions pass.
-    for (const auto& d : session.engine().diagnostics())
-      if (d.code != "baseline-unusable")
+    for (const auto& d : session.engine().diagnostics()) {
+      if (d.code != "baseline-unusable") {
         EXPECT_EQ(d.analysis, "reductions") << d.str();
+      }
+    }
   }
 }
 

@@ -8,7 +8,9 @@
 //
 // File format: one `<preset> <item> <fnv1a-64 hex>` line per case, where
 // the digest is taken over ir::printProgram of the pipeline output. A
-// mismatching or missing case prints its replacement line.
+// mismatching or missing case prints its replacement line; a line naming
+// a preset that is no longer registered fails too, so removing a preset
+// also removes its digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,6 +104,14 @@ TEST_P(ScheduleIdentity, PrintedIrMatchesCheckedInDigest) {
     EXPECT_TRUE(checked.count(key.second))
         << "stale digest for an input no longer compiled: " << key.second;
   }
+}
+
+TEST(ScheduleIdentityData, EveryDigestNamesARegisteredPreset) {
+  for (const auto& [key, hex] : loadDigests())
+    EXPECT_TRUE(flow::hasPipelinePreset(key.first))
+        << "digest for unregistered preset '" << key.first
+        << "'; delete the line: " << key.first << " " << key.second << " "
+        << hex;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "exec/interp.hpp"
+#include "flow/presets.hpp"
 #include "ir/ast.hpp"
 #include "kernels/polybench.hpp"
 
@@ -33,6 +34,16 @@ inline void expectSameSemantics(
   EXPECT_LE(a.maxAbsDiff(b), tolerance)
       << "numerical divergence\n"
       << ir::printProgram(transformed);
+}
+
+/// `o` with register tiling left without effect (no unrolling, no SIMD
+/// tagging): the pocc presets always end with the register-tile pass.
+inline flow::PipelineOptions withoutRegisterTiling(
+    flow::PipelineOptions o = {}) {
+  o.ast.unrollInner = 1;
+  o.ast.unrollOuter = 1;
+  o.ast.simd = false;
+  return o;
 }
 
 /// Collects the loop nest structure as a string like "i(j(S,k(S)))" for

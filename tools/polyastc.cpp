@@ -4,10 +4,9 @@
 //   polyastc --list
 //   polyastc --list-pipelines
 //   polyastc --analysis-selfcheck
-//   polyastc <kernel> [--pipeline NAME | --flow polyast|pocc|pocc-maxfuse|none]
+//   polyastc <kernel> [--pipeline NAME]
 //            [--emit c|ir|none] [--tile N] [--time-tile N]
-//            [--simd on|off]
-//            [--no-tiling] [--no-regtile] [--no-openmp]
+//            [--simd on|off] [--no-openmp]
 //            [--verify-each-pass] [--dump-after PASS|all]
 //            [--reductions strict|relaxed]
 //            [--analyze[=legality,races,bounds,reductions]]
@@ -18,10 +17,9 @@
 //            [--trace-out FILE] [--metrics-out FILE] [--obs-summary]
 //            [--compile-profile-out FILE]
 //
-// Flags also accept the --flag=value form. --flow is kept for
-// compatibility and maps onto the pipeline presets (polyast, pocc,
-// pocc-maxfuse, identity); --pipeline selects any registered preset,
-// including the ablation variants (see --list-pipelines).
+// Flags also accept the --flag=value form. --pipeline selects a
+// registered preset (default polyast), including the ablation variants
+// such as polyast-notile and polyast-noregtile (see --list-pipelines).
 //
 // <kernel> may be `all`: every suite kernel runs through the same flags
 // (emission is suppressed). Combined with --execute --perf --perf-out
@@ -150,11 +148,9 @@ int usage() {
   std::cerr
       << "usage: polyastc <kernel>|--list|--list-pipelines"
          "|--analysis-selfcheck\n"
-         "                [--pipeline NAME] [--flow polyast|pocc|"
-         "pocc-maxfuse|none]\n"
+         "                [--pipeline NAME]\n"
          "                [--emit c|ir|none] [--tile N] [--time-tile N]\n"
-         "                [--simd on|off]\n"
-         "                [--no-tiling] [--no-regtile] [--no-openmp]\n"
+         "                [--simd on|off] [--no-openmp]\n"
          "                [--verify-each-pass] [--dump-after PASS|all]\n"
          "                [--reductions strict|relaxed]\n"
          "                [--analyze[=legality,races,bounds,reductions]]"
@@ -246,14 +242,7 @@ int main(int argc, char** argv) {
       }
     };
     if (arg == "--pipeline") pipeline = next();
-    else if (arg == "--flow") {
-      std::string flowName = next();
-      if (flowName == "polyast") pipeline = "polyast";
-      else if (flowName == "pocc") pipeline = "pocc";
-      else if (flowName == "pocc-maxfuse") pipeline = "pocc-maxfuse";
-      else if (flowName == "none") pipeline = "identity";
-      else return usage();
-    } else if (arg == "--emit") emit = next();
+    else if (arg == "--emit") emit = next();
     else if (arg == "--reductions") {
       std::string mode = next();
       if (mode == "strict")
@@ -277,8 +266,6 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--tile") options.ast.tileSize = nextInt();
     else if (arg == "--time-tile") options.ast.timeTileSize = nextInt();
-    else if (arg == "--no-tiling") options.enableTiling = false;
-    else if (arg == "--no-regtile") options.enableRegisterTiling = false;
     else if (arg == "--no-openmp") openmp = false;
     else if (arg == "--verify-each-pass") verifyEachPass = true;
     else if (arg == "--analyze") {
